@@ -14,7 +14,7 @@ from .errors import (
     SimulationError,
 )
 from .harness import Comparison, MetricReport, compare, evaluate, replicate
-from .model import GaussianBelief, MotionModel, NodeId, NodeKind
+from .model import GaussianBelief, MotionModel
 from .simkernel import RunRecord, RunResult, Simulation, run
 
 __version__ = "0.1.0"
@@ -30,8 +30,6 @@ __all__ = [
     "InvalidArgumentError",
     "MetricReport",
     "MotionModel",
-    "NodeId",
-    "NodeKind",
     "NumericFailureError",
     "RangingError",
     "RunRecord",

@@ -45,7 +45,6 @@ class Waypoint:
 class AgentSpec:
     id: int
     initial_position: tuple
-    initial_velocity: tuple = (0.0, 0.0, 0.0)
     trajectory: tuple = ()  # Waypoints; empty means static at initial_position
     belief_mean: tuple | None = None  # 6-vector; None -> initial truth-free default
     pos_sigma: float | None = None
@@ -156,7 +155,10 @@ def _pairs(v, where) -> tuple:
     for i, pair in enumerate(v):
         if len(pair) != 2:
             raise ConfigError(f"{where}[{i}] must be a pair of node ids")
-        out.append((int(pair[0]), int(pair[1])))
+        a, b = int(pair[0]), int(pair[1])
+        if a == b:
+            raise ConfigError(f"{where}[{i}] pairs node {a} with itself")
+        out.append((a, b))
     return tuple(out)
 
 
@@ -183,7 +185,7 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
     where = f"agents[{idx}]"
     _require_keys(
         d,
-        {"id", "initial_position", "initial_velocity", "trajectory",
+        {"id", "initial_position", "trajectory",
          "belief_mean", "pos_sigma", "vel_sigma", "label"},
         where,
     )
@@ -200,9 +202,6 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
     return AgentSpec(
         id=int(d["id"]),
         initial_position=_vec(d["initial_position"], 3, f"{where}.initial_position"),
-        initial_velocity=_vec(
-            d.get("initial_velocity", (0, 0, 0)), 3, f"{where}.initial_velocity"
-        ),
         trajectory=traj,
         belief_mean=None if belief_mean is None else _vec(belief_mean, 6, f"{where}.belief_mean"),
         pos_sigma=None if d.get("pos_sigma") is None else float(d["pos_sigma"]),

@@ -9,7 +9,7 @@ transform is exact for linear maps, which pins down the correctness tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class SigmaPointSet:
 class MeasurementEntry:
     """One averaged range measurement plus the neighbor's position belief."""
 
-    neighbor: object  # NodeId or any hashable, kept opaque here
+    neighbor: object  # node id or any hashable, kept opaque here
     z: float
     variance: float
     mu_p: np.ndarray  # (3,)
@@ -72,18 +72,6 @@ class MeasurementBatch:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class StackedGaussian:
-    """Agent state stacked with neighbor positions, block-diagonal at construction."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
@@ -168,8 +156,11 @@ def _unscented_update(mean, cov, sp: SigmaPointSet, zp, z, noise_cov):
     return post_mean, post_cov, diagnostics
 
 
-def build_stacked_prior(prior: GaussianBelief, batch: MeasurementBatch) -> StackedGaussian:
-    """Block-diagonal stacked prior: own (predicted) state, then neighbor positions."""
+def build_stacked_prior(
+    prior: GaussianBelief, batch: MeasurementBatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal stacked prior (mean, covariance): own (predicted) state,
+    then neighbor positions."""
     blocks_mu = [prior.mean] + [e.mu_p for e in batch.entries]
     mean = np.concatenate(blocks_mu)
     dim = mean.shape[0]
@@ -179,7 +170,7 @@ def build_stacked_prior(prior: GaussianBelief, batch: MeasurementBatch) -> Stack
     for e in batch.entries:
         cov[off : off + 3, off : off + 3] = e.c_p
         off += 3
-    return StackedGaussian(mean, cov)
+    return mean, cov
 
 
 def _stacked_ranges(points: np.ndarray, state_dim: int, n_neighbors: int) -> np.ndarray:
@@ -205,14 +196,12 @@ def spbp_update(
     """
     if len(batch) == 0:
         raise InvalidArgumentError("batch must be nonempty; use the prediction directly")
-    stacked = build_stacked_prior(prior, batch)
+    mean, cov = build_stacked_prior(prior, batch)
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
-    sp = generate_sigma_points(stacked.mean, stacked.covariance, params)
+    sp = generate_sigma_points(mean, cov, params)
     zp = _stacked_ranges(sp.points, prior.dim, len(batch))
-    post_mean, post_cov, _ = _unscented_update(
-        stacked.mean, stacked.covariance, sp, zp, z, noise
-    )
+    post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
     return GaussianBelief(post_mean[:nx], symmetrize(post_cov[:nx, :nx]))
 

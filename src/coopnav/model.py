@@ -7,8 +7,7 @@ beliefs with exactly-zero covariance rather than a separate type.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,52 +20,10 @@ SYM_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
-class NodeKind(enum.Enum):
-    AGENT = "agent"
-    ANCHOR = "anchor"
-
-
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Network-unique node identifier."""
-
-    id: int
-    kind: NodeKind = field(compare=False, default=NodeKind.AGENT)
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise InvalidArgumentError(f"node id must be nonnegative, got {self.id}")
-
-    @property
-    def is_anchor(self) -> bool:
-        return self.kind is NodeKind.ANCHOR
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Kinematic ground-truth state of a node."""
-
-    position: np.ndarray  # (3,) meters
-    velocity: np.ndarray  # (3,) meters/second
-
-    def __post_init__(self):
-        p = _readonly(self.position)
-        v = _readonly(self.velocity)
-        if p.shape != (3,) or v.shape != (3,):
-            raise InvalidArgumentError("position and velocity must be 3-vectors")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-            raise InvalidArgumentError("state components must be finite")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "velocity", v)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity])
 
 
 def symmetrize(c: np.ndarray) -> np.ndarray:
@@ -164,11 +121,6 @@ def predict_belief(belief: GaussianBelief, model: MotionModel, dt: float) -> Gau
     return GaussianBelief(mean, cov)
 
 
-def true_range(p_j, p_k) -> float:
-    """Euclidean distance between two positions."""
-    return float(np.linalg.norm(np.asarray(p_j, dtype=float) - np.asarray(p_k, dtype=float)))
-
-
 def measurement_variance(m: int, xi: float) -> float:
     """Variance of the averaged range measurement: (m * xi)^-1."""
     if m < 1:
@@ -182,30 +134,3 @@ def measurement_variance(m: int, xi: float) -> float:
 ERC_MIN = 16.0
 ERC_MAX = 100.0
 
-
-@dataclass(frozen=True)
-class Erc:
-    """Equivalent ranging coefficient: inverse-variance intensity of one measurement."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise InvalidArgumentError("ranging coefficient must be > 0")
-
-
-@dataclass(frozen=True)
-class RangeMeasurement:
-    """Averaged pairwise range measurement between an initiator and a responder."""
-
-    initiator: NodeId
-    responder: NodeId
-    value: float  # meters
-    count: int  # number of averaged single exchanges
-    variance: float  # meters^2, (count * xi)^-1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise InvalidArgumentError("measurement count must be >= 1")
-        if self.variance <= 0:
-            raise InvalidArgumentError("measurement variance must be > 0")

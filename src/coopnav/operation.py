@@ -45,7 +45,7 @@ def unit_direction(mu_j, mu_k) -> np.ndarray:
 class LinkInfo:
     """Per-link quantities needed by the operation algorithms."""
 
-    neighbor: object  # NodeId
+    neighbor: object  # node id
     u: np.ndarray  # unit direction (3,)
     xi: float  # ranging coefficient, 1/m^2
     c_pk: np.ndarray  # neighbor position covariance (3, 3)

@@ -1,8 +1,8 @@
 """Simulated radio firmware behaviors.
 
 Covers the four-message symmetric double-sided two-way ranging exchange,
-chirp-based neighbor discovery, channel sensing, channel sounding, and the
-three channel-access policies. State machines here are pure with respect to
+chirp-based neighbor discovery, the channel-quality estimate, and the three
+channel-access policies. State machines here are pure with respect to
 the channel: the simulation kernel stamps timestamps and moves messages.
 
 Ranging exchange layout (initiator I, responder R):
@@ -52,7 +52,7 @@ class StateSummary:
 @dataclass(slots=True)
 class Message:
     kind: MsgKind
-    src: object  # NodeId
+    src: object  # node id
     dst: object | None  # None for chirp broadcast
     tx_ts: float | None = None  # local-clock ticks at the sender
     rx_ts: float | None = None  # local-clock ticks at the receiver
@@ -123,7 +123,6 @@ class RangingSession:
     t4: float | None = None
     t5: float | None = None
     t6: float | None = None
-    deadline: float | None = None
 
     def record_tx(self, slot: str, ts: float) -> None:
         setattr(self, slot, ts)
@@ -290,33 +289,7 @@ def neighbor_update(
     return table
 
 
-# --- channel sensing and sounding -------------------------------------------
-
-
-def channel_sense(arrivals, start: float, duration: float):
-    """Outcome of listening over [start, start + duration).
-
-    Returns ("busy", t_first_arrival) or ("idle", start + duration). A zero
-    duration window is idle by definition.
-    """
-    if duration < 0:
-        raise InvalidArgumentError("sense duration must be >= 0")
-    hits = [t for t in arrivals if start <= t < start + duration]
-    if hits:
-        return "busy", min(hits)
-    return "idle", start + duration
-
-
-def sound_channel(nlos: bool, distance: float = 0.0, rng=None, noise_sigma: float = 0.1) -> float:
-    """Simulated channel-quality estimate from link truth.
-
-    LOS maps near the top of the usable coefficient range, NLOS near the
-    bottom; multiplicative lognormal estimation noise, clamped to the range.
-    """
-    gain = 1.0
-    if rng is not None and noise_sigma > 0:
-        gain = float(np.exp(rng.normal(0.0, noise_sigma)))
-    return erc_estimate(nlos, gain)
+# --- channel sounding --------------------------------------------------------
 
 
 def erc_estimate(nlos: bool, gain: float = 1.0) -> float:

@@ -109,7 +109,10 @@ class ChannelState:
     def add(self, tx: Transmission) -> None:
         self.recent.append(tx)
 
-    def prune(self, now: float, horizon: float = 0.005) -> None:
+    def prune(self, now: float, horizon: float) -> None:
+        """Forget frames that ended `horizon` or more before `now`. A horizon
+        of at least the longest airtime keeps every frame that overlaps one
+        still in the air."""
         self.recent = [t for t in self.recent if t.end > now - horizon]
 
     def overlapping(self, tx: Transmission) -> list[Transmission]:
@@ -130,7 +133,8 @@ def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
     receivers maps node id -> position; blocked holds link_key pairs that can
     never communicate. Returns node id -> (outcome, distance to the sender),
     in the order of `receivers`. A reception succeeds iff the receiver is in
-    range and no other in-range transmission overlapped the frame.
+    range and no other in-range transmission overlapped the frame. Radios are
+    half duplex: a receiver's own overlapping frame always collides.
     """
     overlaps = channel.overlapping(tx)
     src = tx.src
@@ -146,7 +150,8 @@ def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
         if dist > comm_range or (blocked and link_key(nid, src) in blocked):
             out[nid] = ("out-of-range", dist)
         elif overlaps and any(
-            link_key(nid, o.src) not in blocked and _dist(pos, o.src_pos) <= comm_range
+            o.src == nid
+            or (link_key(nid, o.src) not in blocked and _dist(pos, o.src_pos) <= comm_range)
             for o in overlaps
         ):
             out[nid] = ("collided", dist)
@@ -227,7 +232,7 @@ _LS_SUMMARY_COV.setflags(write=False)
 
 
 class _Node:
-    def __init__(self, nid, is_anchor, traj, clock, belief, policy_name):
+    def __init__(self, nid, is_anchor, traj, clock, belief):
         self.nid = nid
         self.is_anchor = is_anchor
         self.traj = traj
@@ -237,9 +242,7 @@ class _Node:
         self.table = NeighborTable()
         self.session: RangingSession | None = None
         self.timeout_gen = 0
-        self.recent_tx: deque = deque()
         self.sense_token = None
-        self.policy_name = policy_name
         # epoch bookkeeping (agents only)
         self.period = 0.0
         self.last_epoch_time = 0.0
@@ -277,6 +280,7 @@ class Simulation:
         self._seq = itertools.count()
         self._queue: list = []
         self.channel = ChannelState()
+        self._channel_horizon = max(self.par.msg_air_s, self.par.chirp_air_s)
         self.records: list[RunRecord] = []
         self.link_counts: dict = {}
         self.trace: list | None = [] if collect_trace else None
@@ -302,15 +306,11 @@ class Simulation:
 
     def _build_nodes(self):
         self.nodes: dict[int, _Node] = {}
-        self.kinds: dict[int, str] = {}
         par = self.par
-        policy = self.scenario.algorithms.activation
         for a in self.scenario.anchors:
             traj = Trajectory(((a.position, 0.0, 0.0),))
-            node = _Node(a.id, True, traj, self._draw_clock(), anchor_belief(a.position),
-                         policy)
+            node = _Node(a.id, True, traj, self._draw_clock(), anchor_belief(a.position))
             self.nodes[a.id] = node
-            self.kinds[a.id] = "anchor"
         for a in self.scenario.agents:
             wps = [(a.initial_position, 0.0, 0.0)]
             for w in a.trajectory:
@@ -325,11 +325,9 @@ class Simulation:
             ps = par.pos_sigma if a.pos_sigma is None else a.pos_sigma
             vs = par.vel_sigma if a.vel_sigma is None else a.vel_sigma
             cov = np.diag([ps * ps] * 3 + [vs * vs] * 3)
-            node = _Node(a.id, False, traj, self._draw_clock(),
-                         GaussianBelief(mean, cov), policy)
+            node = _Node(a.id, False, traj, self._draw_clock(), GaussianBelief(mean, cov))
             node.ls_est = mean[:3].copy()
             self.nodes[a.id] = node
-            self.kinds[a.id] = "agent"
         # epoch periods and initial events, in sorted id order for determinism
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
@@ -402,12 +400,9 @@ class Simulation:
         start = self.now
         msg.tx_ts = node.clock.ticks(start)
         tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
-        self.channel.prune(start)
+        self.channel.prune(start, self._channel_horizon)
         self.channel.add(tx)
         self.counters["transmissions"] += 1
-        node.recent_tx.append((start, tx.end))
-        while node.recent_tx and node.recent_tx[0][1] < start - 0.005:
-            node.recent_tx.popleft()
         # anyone currently sensing in range hears the channel go busy
         for other in self._ordered if self._sensing else ():
             if other.sense_token is None or other is node:
@@ -435,7 +430,7 @@ class Simulation:
         return False
 
     def _tx_end(self, tx: Transmission):
-        end, start = tx.end, tx.start
+        end = tx.end
         msg = tx.msg
         receivers = {
             other.nid: self._position(other, end)
@@ -448,17 +443,11 @@ class Simulation:
         counters, trace, nodes = self.counters, self.trace, self.nodes
         delivered = []
         for nid, (outcome, dist) in outcomes.items():
-            node = nodes[nid]
-            if outcome == "delivered":
-                for s, e in node.recent_tx:
-                    if s < end and e > start:
-                        outcome = "collided"  # half duplex: receiver was transmitting
-                        break
             counters[outcome] += 1
             if trace is not None:
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
             if outcome == "delivered":
-                delivered.append((node, dist))
+                delivered.append((nodes[nid], dist))
         if not delivered:
             return
         # Channel sounding draws one lognormal gain per delivery, in receiver
@@ -639,7 +628,7 @@ class Simulation:
     def _eligible_neighbors(self, agent: _Node) -> list:
         out = []
         for nid in agent.table.neighbors():
-            if not self.par.allow_agent_measurements and self.kinds.get(nid) != "anchor":
+            if not self.par.allow_agent_measurements and not self.nodes[nid].is_anchor:
                 continue
             out.append(nid)
         return out
@@ -728,7 +717,7 @@ class Simulation:
         dt_j = self.par.t_m_s * result.total
         covs = [agent.belief.covariance]
         for nid in agent.table.neighbors():
-            if self.kinds.get(nid) == "agent":
+            if not self.nodes[nid].is_anchor:
                 covs.append(agent.table.entries[nid].cov)
         inputs = operation.ActivationInputs(result, tuple(covs), self.motion, dt_j)
         if operation.htna_decide(inputs, agent.problem):
@@ -843,7 +832,7 @@ class Simulation:
                 cov_trace=cov_trace,
                 n_meas=n_meas,
                 activated=1 if agent.activated else 0,
-                policy=agent.policy_name,
+                policy=self.scenario.algorithms.activation,
             )
         )
         nxt = max(agent.epoch_t0 + agent.period, self.now)

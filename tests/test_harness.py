@@ -171,6 +171,21 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="99"):
             scenario_from_dict(bad)
 
+    def test_self_pair_named(self):
+        for field in ("nlos_pairs", "blocked_pairs"):
+            bad = dict(MINIMAL)
+            bad["link_truth"] = {field: [[1, 10], [10, 10]]}
+            with pytest.raises(ConfigError, match=rf"link_truth\.{field}\[1\]"):
+                scenario_from_dict(bad)
+
+    def test_initial_velocity_rejected(self):
+        # Agents move along their waypoints; an initial velocity would be ignored.
+        bad = dict(MINIMAL)
+        bad["agents"] = [{"id": 10, "initial_position": [1, 1, 1],
+                          "initial_velocity": [0, 0, 0]}]
+        with pytest.raises(ConfigError, match="initial_velocity"):
+            scenario_from_dict(bad)
+
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)
         bad["agents"] = [{"id": 10, "initial_position": [1, 1]}]

@@ -184,13 +184,15 @@ class TestSpbpUpdate:
         rng = np.random.default_rng(4)
         prior = GaussianBelief(rng.normal(size=6), random_spd(rng, 6))
         batch = self._batch(rng, 3)
-        stacked = build_stacked_prior(prior, batch)
-        assert stacked.dim == 6 + 9
-        assert np.allclose(stacked.covariance[:6, :6], prior.covariance)
-        assert np.allclose(stacked.covariance[:6, 6:], 0.0)
+        mean, cov = build_stacked_prior(prior, batch)
+        assert mean.shape == (6 + 9,) and cov.shape == (6 + 9, 6 + 9)
+        assert np.array_equal(mean[:6], prior.mean)
+        assert np.allclose(cov[:6, :6], prior.covariance)
+        assert np.allclose(cov[:6, 6:], 0.0)
         for i, e in enumerate(batch.entries):
             blk = slice(6 + 3 * i, 9 + 3 * i)
-            assert np.allclose(stacked.covariance[blk, blk], e.c_p)
+            assert np.array_equal(mean[blk], e.mu_p)
+            assert np.allclose(cov[blk, blk], e.c_p)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -10,15 +10,12 @@ from coopnav.model import (
     ERC_MIN,
     GaussianBelief,
     MotionModel,
-    NodeId,
-    NodeKind,
     STATE_DIM,
     anchor_belief,
     measurement_variance,
     motion_matrices,
     predict_belief,
     symmetrize,
-    true_range,
 )
 
 DEFAULT_MOTION = MotionModel(0.06**2, 0.06**2, 0.02**2)
@@ -27,20 +24,6 @@ DEFAULT_MOTION = MotionModel(0.06**2, 0.06**2, 0.02**2)
 def random_spd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     return scale * (a @ a.T + n * np.eye(n))
-
-
-class TestNodeId:
-    def test_ordering_ignores_kind(self):
-        a = NodeId(1, NodeKind.ANCHOR)
-        b = NodeId(2, NodeKind.AGENT)
-        assert a < b
-        assert sorted([b, a]) == [a, b]
-
-    def test_equality_ignores_kind(self):
-        # ids are network-unique, so identity is determined by id alone
-        assert NodeId(1, NodeKind.ANCHOR) == NodeId(1, NodeKind.AGENT)
-        with pytest.raises(InvalidArgumentError):
-            NodeId(-1)
 
 
 class TestGaussianBelief:
@@ -144,9 +127,6 @@ class TestMotion:
 
 
 class TestMeasurement:
-    def test_true_range(self):
-        assert true_range([0, 0, 0], [3, 4, 0]) == pytest.approx(5.0)
-
     def test_variance_is_reciprocal_in_count_and_quality(self):
         assert measurement_variance(4, 100.0) == pytest.approx(1 / 400)
         assert measurement_variance(1, 16.0) == pytest.approx(1 / 16)

@@ -1,5 +1,5 @@
 """Tests for the simulated radio firmware: ranging math and state machine,
-discovery, sensing, sounding, clocks, and channel-access policies."""
+discovery, sounding, clocks, and channel-access policies."""
 
 import numpy as np
 import pytest
@@ -24,11 +24,10 @@ from coopnav.protocol import (
     SendMessage,
     StateSummary,
     begin_ranging,
-    channel_sense,
     chirp_scheduler,
+    erc_estimate,
     neighbor_update,
     ranging_fsm_step,
-    sound_channel,
     twr_range,
 )
 
@@ -290,38 +289,25 @@ class TestNeighborTableExpiry:
             assert all(table.entries[k].last_heard == t for k, t in ref.items())
 
 
-class TestChannelSense:
-    def test_idle(self):
-        outcome, t = channel_sense([0.5, 9.0], start=1.0, duration=2.0)
-        assert outcome == "idle" and t == pytest.approx(3.0)
-
-    def test_busy_reports_first_arrival(self):
-        outcome, t = channel_sense([2.5, 1.7, 2.9], start=1.0, duration=2.0)
-        assert outcome == "busy" and t == pytest.approx(1.7)
-
-    def test_zero_window_idle(self):
-        assert channel_sense([1.0], 1.0, 0.0) == ("idle", 1.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            channel_sense([], 0.0, -1.0)
+def noisy_erc(nlos, rng, sigma):
+    """One channel-quality estimate under a lognormal gain, drawn as the kernel does."""
+    return erc_estimate(nlos, float(np.exp(rng.normal(0.0, sigma))))
 
 
 class TestSoundChannel:
     def test_noise_free_endpoints(self):
-        assert sound_channel(nlos=False) == ERC_MAX
-        assert sound_channel(nlos=True) == ERC_MIN
+        assert erc_estimate(nlos=False) == ERC_MAX
+        assert erc_estimate(nlos=True) == ERC_MIN
 
     def test_noisy_estimates_stay_in_range(self):
         rng = np.random.default_rng(0)
-        vals = [sound_channel(n, rng=rng, noise_sigma=0.5)
-                for n in (True, False) for _ in range(200)]
+        vals = [noisy_erc(n, rng, 0.5) for n in (True, False) for _ in range(200)]
         assert all(ERC_MIN <= v <= ERC_MAX for v in vals)
 
     def test_los_beats_nlos_on_average(self):
         rng = np.random.default_rng(1)
-        los = np.mean([sound_channel(False, rng=rng, noise_sigma=0.3) for _ in range(300)])
-        nlos = np.mean([sound_channel(True, rng=rng, noise_sigma=0.3) for _ in range(300)])
+        los = np.mean([noisy_erc(False, rng, 0.3) for _ in range(300)])
+        nlos = np.mean([noisy_erc(True, rng, 0.3) for _ in range(300)])
         assert los > nlos
 
 

@@ -1,5 +1,5 @@
 """Tests for the discrete-event simulation kernel: mobility, channel
-arbitration, determinism, and end-to-end estimation sanity."""
+arbitration and sensing, determinism, and end-to-end estimation sanity."""
 
 import dataclasses
 
@@ -20,6 +20,7 @@ from coopnav.protocol import Message, MsgKind
 from coopnav.simkernel import (
     ChannelState,
     RunRecord,
+    Simulation,
     Trajectory,
     Transmission,
     arbitrate,
@@ -85,6 +86,17 @@ def _tx(src, start, end, pos):
     return Transmission(src, start, end, np.asarray(pos, dtype=float), msg)
 
 
+def _frames_only(scenario, frames, **kw):
+    """A Simulation whose queue holds only the given (time, node id, airtime)
+    chirp frames, without the epochs and chirps it schedules itself."""
+    sim = Simulation(scenario, seed=0, **kw)
+    sim._queue.clear()
+    for t, nid, air in frames:
+        sim._schedule(t, lambda n=sim.nodes[nid], a=air: sim._transmit(
+            n, Message(MsgKind.CHIRP, n.nid, None), a))
+    return sim
+
+
 class TestArbitrate:
     def test_delivery_in_range(self):
         ch = ChannelState()
@@ -141,6 +153,35 @@ class TestArbitrate:
         out = arbitrate(ch, tx, {1: np.zeros(3), 2: np.array([1.0, 0, 0])}, 10.0)
         assert 1 not in out
 
+    def test_receivers_own_frame_collides(self):
+        # Half duplex: node 2 cannot hear while its own frame is on the air.
+        ch = ChannelState()
+        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
+        own = _tx(2, 0.0009, 0.0013, [5.0, 0, 0])
+        ch.add(tx)
+        ch.add(own)
+        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0]), 3: np.array([0, 50.0, 0])}, 10.0)
+        assert out == {2: ("collided", 5.0), 3: ("out-of-range", 50.0)}
+
+    def test_long_frame_keeps_early_interferer(self):
+        # A 10 ms frame from anchor 1 overlaps a short frame from anchor 2 at
+        # its start. A frame from far-away anchor 3, sent after the short one
+        # ended, prunes the channel; the overlap must still count at the end.
+        par = dataclasses.replace(Parameters(), msg_air_s=0.01)
+        anchors = (
+            AnchorSpec(1, (0.0, 0.0, 1.0)),
+            AnchorSpec(2, (4.0, 0.0, 1.0)),
+            AnchorSpec(3, (200.0, 0.0, 1.0)),
+        )
+        agents = (AgentSpec(10, (4.5, 0.0, 1.0)),)
+        scen = dataclasses.replace(
+            small_scenario(parameters=par, agents=agents), anchors=anchors
+        )
+        frames = ((0.0, 1, par.msg_air_s), (0.0005, 2, 0.0005), (0.0065, 3, par.chirp_air_s))
+        result = _frames_only(scen, frames, collect_trace=True).run()
+        ends = {(src, outcome) for t, _k, src, _d, outcome in result.trace if t == 0.01}
+        assert ends == {(1, "collided@2"), (1, "collided@10"), (1, "out-of-range@3")}
+
 
 class TestChannelSounding:
     def test_batched_gains_match_scalar_draws(self):
@@ -159,7 +200,7 @@ class TestChannelState:
         ch = ChannelState()
         ch.add(_tx(1, 0.0, 0.001, [0, 0, 0]))
         ch.add(_tx(2, 1.0, 1.001, [0, 0, 0]))
-        ch.prune(1.0)
+        ch.prune(1.0, 0.005)
         assert [t.src for t in ch.recent] == [2]
 
     def test_active_at(self):
@@ -167,6 +208,43 @@ class TestChannelState:
         ch.add(_tx(1, 0.0, 0.002, [0, 0, 0]))
         assert [t.src for t in ch.active_at(0.001)] == [1]
         assert ch.active_at(0.002) == []
+
+
+class TestChannelSense:
+    """The kernel's sensing path: agent 10 senses while anchors transmit."""
+
+    @staticmethod
+    def sense(frames, start=0.001, window=0.002, **over):
+        """Run only the given (time, anchor id, airtime) frames and one sense
+        window of agent 10; return its (outcome, time) callbacks."""
+        sim = _frames_only(small_scenario(**over), frames)
+        calls = []
+        sim._schedule(start, lambda: sim._start_sense(
+            sim.nodes[10], window,
+            on_idle=lambda: calls.append(("idle", sim.now)),
+            on_busy=lambda: calls.append(("busy", sim.now)),
+        ))
+        sim.run()
+        return calls
+
+    def test_busy_reports_first_arrival(self):
+        calls = self.sense([(0.0015, 1, 0.0004), (0.002, 2, 0.0004)])
+        assert calls == [("busy", 0.0015)]
+
+    def test_busy_when_frame_already_live(self):
+        assert self.sense([(0.0008, 1, 0.0004)]) == [("busy", 0.001)]
+
+    def test_idle(self):
+        # Frames live at the start and starting inside the window, all from
+        # senders agent 10 cannot hear: blocked, or beyond the comm range.
+        frames = [(0.0008, 1, 0.0004), (0.0015, 1, 0.0004)]
+        blocked = LinkTruthConfig(blocked_pairs=((10, 1),))
+        assert self.sense(frames, link_truth=blocked) == [("idle", 0.003)]
+        near = LinkTruthConfig(comm_range_m=1.0)
+        assert self.sense(frames, link_truth=near) == [("idle", 0.003)]
+
+    def test_zero_window_idle(self):
+        assert self.sense([], window=0.0) == [("idle", 0.001)]
 
 
 class TestRecordFormatting:
