@@ -6,6 +6,12 @@ hashes the records CSV, the trace CSV, the counters and the link counts. A
 change that only makes the simulator faster must leave every hash unchanged;
 a change that alters behaviour must re-baseline the affected hashes and say
 why in CHANGES.md.
+
+Every bundled scenario's communication range (60 m) covers its whole room,
+so no frame in those runs is ever out of range. SHORT_RANGE pins the range
+branch of the channel too: the two cooperative scenarios under all five
+acronyms with the range cut to 9 m, where many receptions, carrier senses
+and subnetwork checks fall out of range.
 """
 
 import dataclasses
@@ -73,3 +79,45 @@ def golden_run(name, acronym, allow_agent):
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=repr)
 def test_fingerprint_unchanged(case):
     assert fingerprint(golden_run(*case)) == GOLDEN[case]
+
+
+SHORT_RANGE_M = 9.0
+
+# (scenario, acronym) -> sha256, at comm_range_m = SHORT_RANGE_M
+SHORT_RANGE = {
+    ("three_agent_activation", "LS-AL-UN"):
+        "c9a18aacc7e051d2975160e466410337165cd0ca0816f6f0abdc73d4bfd1f774",
+    ("three_agent_activation", "BP-AL-UN"):
+        "93f198b83ca9d92a7b1d35310f5de4e2a35799a2bf67d691749f15b2f1290ded",
+    ("three_agent_activation", "BP-CS-UN"):
+        "d1d9c40acce46d4ac6b1fa1da2b8b131397d67cdc3b5c3311fddf945b5f48ce5",
+    ("three_agent_activation", "BP-HT-UN"):
+        "997edc3c9c8cb2a6db8a200e95e76b83ba1107de0a56491c7e01f9f8d895f6de",
+    ("three_agent_activation", "BP-HT-CP"):
+        "0bf34d6aa92baa93e6169149b61bc4c640a668f4cbddcf2e054b5088c242c15b",
+    ("two_agent_cooperation", "LS-AL-UN"):
+        "4896aaf5aaffa9b84878e390b45eede7b36c7455ae1ea9e66c8cd5a6ed9a6282",
+    ("two_agent_cooperation", "BP-AL-UN"):
+        "31860761ea31eefd109d91cf213f0be84854a07d6366c4eb7669d5a0b690544c",
+    ("two_agent_cooperation", "BP-CS-UN"):
+        "5d072bf4f497010cd6e56a92b6364bf868997e5da035bd3ae154c5f7f46a2510",
+    ("two_agent_cooperation", "BP-HT-UN"):
+        "e5a2cc72b2d9916a65805d5b1e15c2fe2fab04e47550c169ab88176fecefddc9",
+    ("two_agent_cooperation", "BP-HT-CP"):
+        "3a8c7ead785b7d60e8feb3862a4d03e4ee50b4ab2f28d2936ed821f418d0836b",
+}
+
+
+def short_range_run(name, acronym):
+    scen = load_scenario(bundled_scenario_path(name)).with_algorithms(acronym)
+    scen = dataclasses.replace(
+        scen,
+        duration_s=min(scen.duration_s, DURATION_S),
+        link_truth=dataclasses.replace(scen.link_truth, comm_range_m=SHORT_RANGE_M),
+    )
+    return run(scen, seed=SEED, collect_trace=True)
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_RANGE), ids=repr)
+def test_short_range_fingerprint_unchanged(case):
+    assert fingerprint(short_range_run(*case)) == SHORT_RANGE[case]
