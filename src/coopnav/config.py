@@ -121,9 +121,6 @@ class ScenarioConfig:
     algorithms: Algorithms = field(default_factory=Algorithms)
     parameters: Parameters = field(default_factory=Parameters)
 
-    def node_ids(self) -> list[int]:
-        return [a.id for a in self.anchors] + [a.id for a in self.agents]
-
     def with_algorithms(self, acronym: str) -> "ScenarioConfig":
         if acronym not in ACRONYMS:
             raise ConfigError(f"unknown algorithm acronym {acronym!r}")

@@ -14,23 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailureError, InvalidArgumentError, NumericFailureError
-from .model import GaussianBelief, STATE_DIM, symmetrize
+from .model import GaussianBelief, symmetrize
 
 
-@dataclass(frozen=True)
-class UtParams:
-    """Scaled unscented-transform parameters. kappa=None means 3 - L."""
+# Scaled unscented transform: alpha = 1, beta = 2 and kappa = 3 - L, so the
+# spread scale L + lambda is 3 for every state dimension L.
+UT_ALPHA = 1.0
+UT_BETA = 2.0
 
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float | None = None
-
-    def lam(self, dim: int) -> float:
-        kappa = (3.0 - dim) if self.kappa is None else self.kappa
-        return self.alpha * self.alpha * (dim + kappa) - dim
-
-
-DEFAULT_UT = UtParams()
+# Fixed-step gradient descent of the LS baseline.
+LS_STEP = 0.1
+LS_MAX_ITERS = 500
+LS_TOL = 1e-6  # on the gradient norm
+LS_DIVERGENCE_NORM = 1e6
 
 
 @dataclass(frozen=True)
@@ -94,12 +90,13 @@ def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
     return vecs * np.sqrt(vals.clip(0.0, None))
 
 
-def generate_sigma_points(mean, cov, params: UtParams = DEFAULT_UT) -> SigmaPointSet:
+def generate_sigma_points(mean, cov) -> SigmaPointSet:
     """Standard scaled unscented sigma-point set for N(mean, cov)."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     dim = mean.shape[0]
-    lam = params.lam(dim)
+    kappa = 3.0 - dim
+    lam = UT_ALPHA * UT_ALPHA * (dim + kappa) - dim
     root = _matrix_sqrt(cov, dim + lam)
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean
@@ -108,11 +105,11 @@ def generate_sigma_points(mean, cov, params: UtParams = DEFAULT_UT) -> SigmaPoin
     wm = np.full(2 * dim + 1, 0.5 / (dim + lam))
     wc = wm.copy()
     wm[0] = lam / (dim + lam)
-    wc[0] = wm[0] + (1.0 - params.alpha * params.alpha + params.beta)
+    wc[0] = wm[0] + (1.0 - UT_ALPHA * UT_ALPHA + UT_BETA)
     return SigmaPointSet(points, wm, wc)
 
 
-def sigma_point_update(mean, cov, h, z, noise_cov, params: UtParams = DEFAULT_UT):
+def sigma_point_update(mean, cov, h, z, noise_cov):
     """Unscented Bayes update of N(mean, cov) against z = h(x) + noise.
 
     Returns (mean', cov', diagnostics dict). The posterior covariance is
@@ -123,7 +120,7 @@ def sigma_point_update(mean, cov, h, z, noise_cov, params: UtParams = DEFAULT_UT
     cov = np.asarray(cov, dtype=float)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    sp = generate_sigma_points(mean, cov, params)
+    sp = generate_sigma_points(mean, cov)
     zp = np.array([np.atleast_1d(h(x)) for x in sp.points])
     return _unscented_update(mean, cov, sp, zp, z, noise_cov)
 
@@ -185,9 +182,7 @@ def _stacked_ranges(points: np.ndarray, state_dim: int, n_neighbors: int) -> np.
     return out
 
 
-def spbp_update(
-    prior: GaussianBelief, batch: MeasurementBatch, params: UtParams = DEFAULT_UT
-) -> GaussianBelief:
+def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelief:
     """Sigma-point measurement update of an already-predicted belief.
 
     Stacks the neighbor position beliefs, updates against the stacked range
@@ -199,7 +194,7 @@ def spbp_update(
     mean, cov = build_stacked_prior(prior, batch)
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
-    sp = generate_sigma_points(mean, cov, params)
+    sp = generate_sigma_points(mean, cov)
     zp = _stacked_ranges(sp.points, prior.dim, len(batch))
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
@@ -211,15 +206,7 @@ def marginalize_position(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray
     return belief.mean[:3].copy(), np.array(belief.covariance[:3, :3])
 
 
-@dataclass(frozen=True)
-class LsOptions:
-    step: float = 0.1
-    max_iters: int = 500
-    tol: float = 1e-6  # on gradient norm
-    divergence_norm: float = 1e6
-
-
-def ls_estimate(prev, batch: MeasurementBatch, options: LsOptions = LsOptions()) -> np.ndarray:
+def ls_estimate(prev, batch: MeasurementBatch) -> np.ndarray:
     """Gradient descent on the squared range-residual cost, warm-started at prev."""
     if len(batch) < 1:
         raise InvalidArgumentError("LS requires at least one measurement")
@@ -229,16 +216,16 @@ def ls_estimate(prev, batch: MeasurementBatch, options: LsOptions = LsOptions())
     # The norms below are spelled out as np.linalg.norm computes them (row
     # norms: sqrt of the summed squares; vector norms: sqrt of the dot
     # product), which skips its generic dispatch in this hot loop.
-    for _ in range(options.max_iters):
+    for _ in range(LS_MAX_ITERS):
         diff = p - anchors
         dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
         safe = np.where(dists > 1e-12, dists, 1.0)
         resid = dists - zs
         grad = 2.0 * (resid / safe) @ diff
-        if math.sqrt(grad.dot(grad)) <= options.tol:
+        if math.sqrt(grad.dot(grad)) <= LS_TOL:
             break
-        p = p - options.step * grad
-        if math.sqrt(p.dot(p)) > options.divergence_norm:
+        p = p - LS_STEP * grad
+        if math.sqrt(p.dot(p)) > LS_DIVERGENCE_NORM:
             raise EstimationFailureError("LS gradient descent diverged")
     return p
 

@@ -86,10 +86,6 @@ class MotionModel:
             if v < 0:
                 raise InvalidArgumentError("driving-noise variances must be >= 0")
 
-    @property
-    def noise_diag(self) -> np.ndarray:
-        return np.array([self.sigma_x2, self.sigma_y2, self.sigma_z2])
-
 
 def motion_matrices(model: MotionModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix A(dt) and driving-noise covariance Cw(dt).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +112,7 @@ class AllocationProblem:
 @dataclass(frozen=True)
 class AllocationResult:
     m: np.ndarray  # integer counts per link
-    objective: float  # predicted covariance trace at m
+    objective: float | None  # predicted covariance trace at m; None if not computed
     relaxed_m: np.ndarray | None = None
     relaxed_objective: float | None = None
     converged: bool = True
@@ -208,11 +208,9 @@ def htna_decide(inputs: ActivationInputs, problem: AllocationProblem) -> bool:
 # --- allocation solvers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 2000
-    tol: float = 1e-7  # on projected-gradient norm
-    warm_start: np.ndarray | None = None
+# Projected-gradient stopping rule of the allocation relaxation.
+PG_MAX_ITERS = 300
+PG_TOL = 1e-6  # on the projected-gradient norm, relative to the gradient's
 
 
 def _project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
@@ -243,21 +241,21 @@ def _objective_and_gradient(problem: AllocationProblem, m: np.ndarray):
     return obj, grad
 
 
-def _pg_solve(problem: AllocationProblem, options: SolverOptions):
+def _pg_solve(problem: AllocationProblem, warm_start):
     n = len(problem.links)
     budget = float(problem.budget)
-    if options.warm_start is not None and options.warm_start.shape == (n,):
-        m = _project_capped_simplex(np.asarray(options.warm_start, dtype=float), budget)
+    if warm_start is not None and warm_start.shape == (n,):
+        m = _project_capped_simplex(np.asarray(warm_start, dtype=float), budget)
     else:
         m = np.full(n, budget / n)
     obj, grad = _objective_and_gradient(problem, m)
     step = 1.0
     converged = False
-    for _ in range(options.max_iters):
+    for _ in range(PG_MAX_ITERS):
         pg = m - _project_capped_simplex(m - grad, budget)
         # Relative tolerance: the projected-gradient norm bottoms out at
         # round-off proportional to the gradient magnitude.
-        if _norm(pg) <= options.tol * (1.0 + _norm(grad)):
+        if _norm(pg) <= PG_TOL * (1.0 + _norm(grad)):
             converged = True
             break
         # Backtracking line search on the projected step.
@@ -332,14 +330,13 @@ def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
     return m, current
 
 
-def cpnp_allocate(
-    problem: AllocationProblem, options: SolverOptions = SolverOptions()
-) -> AllocationResult:
+def cpnp_allocate(problem: AllocationProblem, *, warm_start=None) -> AllocationResult:
     """Measurement-count allocation minimizing the predicted covariance trace.
 
-    Solves the continuous relaxation by projected gradient descent, rounds by
-    largest remainder under the budget, then applies a greedy single-unit
-    improvement pass. Falls back to uniform allocation on non-convergence.
+    Solves the continuous relaxation by projected gradient descent (from
+    `warm_start`, one value per link, if given), rounds by largest remainder
+    under the budget, then applies a greedy single-unit improvement pass.
+    Falls back to uniform allocation on non-convergence.
     """
     n = len(problem.links)
     if n < 1:
@@ -348,7 +345,7 @@ def cpnp_allocate(
         zero = np.zeros(n, dtype=int)
         obj = float(np.trace(predicted_covariance(problem, zero)))
         return AllocationResult(zero, obj, zero.astype(float), obj, True, False)
-    relaxed, relaxed_obj, converged = _pg_solve(problem, options)
+    relaxed, relaxed_obj, converged = _pg_solve(problem, warm_start)
     fallback = False
     if not converged or not np.isfinite(relaxed).all():
         per = problem.budget // n

@@ -19,7 +19,6 @@ sides end up with the identical value; the report just shares it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,22 +237,18 @@ class NeighborEntry:
 
 
 class NeighborTable:
-    """Per-node map of recently heard neighbors and their state summaries."""
+    """Per-node map of recently heard neighbors and their state summaries.
+    Observing never drops an entry: the owner purges it once per epoch."""
 
     def __init__(self):
         self.entries: dict = {}
-        # Lower bound on every entry's last_heard: while it is not older than
-        # the expiry cutoff, no entry can be stale and purge need not scan.
-        self._oldest = math.inf
 
     def purge(self, now: float, expiry: float) -> None:
+        """Drop every entry last heard more than `expiry` before `now`."""
         cutoff = now - expiry
-        if self._oldest >= cutoff:
-            return
         stale = [k for k, e in self.entries.items() if e.last_heard < cutoff]
         for k in stale:
             del self.entries[k]
-        self._oldest = min((e.last_heard for e in self.entries.values()), default=math.inf)
 
     def observe(self, src, summary: StateSummary | None, now: float, xi: float | None = None):
         entry = self.entries.get(src)
@@ -261,8 +256,6 @@ class NeighborTable:
             entry = NeighborEntry(now, np.zeros(3), np.zeros((6, 6)), (ERC_MIN + ERC_MAX) / 2)
             self.entries[src] = entry
         entry.last_heard = now
-        if now < self._oldest:
-            self._oldest = now
         if summary is not None:
             entry.mu_p = np.asarray(summary.mu_p, dtype=float)
             entry.cov = np.asarray(summary.cov, dtype=float)
@@ -281,11 +274,10 @@ class NeighborTable:
 
 
 def neighbor_update(
-    table: NeighborTable, msg: Message, now: float, expiry: float, xi: float | None = None
+    table: NeighborTable, msg: Message, now: float, xi: float | None = None
 ) -> NeighborTable:
-    """Upsert the sender of any received message, then drop expired entries."""
+    """Upsert the sender of any received message."""
     table.observe(msg.src, msg.payload, now, xi)
-    table.purge(now, expiry)
     return table
 
 

@@ -12,7 +12,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .model import (
     anchor_belief,
     measurement_variance,
     predict_belief,
-    symmetrize,
 )
 from .protocol import (
     ClockModel,
@@ -91,6 +90,12 @@ def link_key(a: int, b: int) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def hears(a: int, b: int, dist: float, comm_range: float, blocked) -> bool:
+    """The link rule: nodes a and b, `dist` apart, hear each other iff their
+    pair is not in `blocked` (link_key pairs) and dist is within comm_range."""
+    return dist <= comm_range and (not blocked or link_key(a, b) not in blocked)
+
+
 @dataclass(slots=True)
 class Transmission:
     src: int
@@ -122,9 +127,6 @@ class ChannelState:
             if t is not tx and t.start < tx.end and t.end > tx.start
         ]
 
-    def active_at(self, t: float) -> list[Transmission]:
-        return [x for x in self.recent if x.start <= t < x.end]
-
 
 def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
               comm_range: float, blocked=frozenset()) -> dict:
@@ -132,9 +134,9 @@ def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
 
     receivers maps node id -> position; blocked holds link_key pairs that can
     never communicate. Returns node id -> (outcome, distance to the sender),
-    in the order of `receivers`. A reception succeeds iff the receiver is in
-    range and no other in-range transmission overlapped the frame. Radios are
-    half duplex: a receiver's own overlapping frame always collides.
+    in the order of `receivers`. A reception succeeds iff the receiver hears
+    the sender (see `hears`) and no other overlapping frame that it hears.
+    Radios are half duplex: a receiver's own overlapping frame always collides.
     """
     overlaps = channel.overlapping(tx)
     src = tx.src
@@ -147,11 +149,10 @@ def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
         dy = pos[1] - sy
         dz = pos[2] - sz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)  # as _dist, inlined
-        if dist > comm_range or (blocked and link_key(nid, src) in blocked):
+        if not hears(nid, src, dist, comm_range, blocked):
             out[nid] = ("out-of-range", dist)
         elif overlaps and any(
-            o.src == nid
-            or (link_key(nid, o.src) not in blocked and _dist(pos, o.src_pos) <= comm_range)
+            o.src == nid or hears(nid, o.src, _dist(pos, o.src_pos), comm_range, blocked)
             for o in overlaps
         ):
             out[nid] = ("collided", dist)
@@ -242,7 +243,6 @@ class _Node:
         self.table = NeighborTable()
         self.session: RangingSession | None = None
         self.timeout_gen = 0
-        self.sense_token = None
         # epoch bookkeeping (agents only)
         self.period = 0.0
         self.last_epoch_time = 0.0
@@ -255,7 +255,6 @@ class _Node:
         self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
         self.pos_memo = None
         self.collected: dict = {}
-        self.link_snapshot: dict = {}
         self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
@@ -295,7 +294,10 @@ class Simulation:
         self._session_ids = itertools.count(1)
         self._link_excess: dict = {}
         self._holding: set = set()
-        self._sensing: set = set()  # nodes holding a live sense token
+        # Carrier sense: node id -> busy callback of its open sense window. The
+        # callback is the window's token; a window that lost it was closed busy.
+        self._sensing: dict = {}
+        self._comm_range = scenario.link_truth.comm_range_m
         self._blocked = frozenset(link_key(*p) for p in scenario.link_truth.blocked_pairs)
         self._nlos_pairs = frozenset(link_key(*p) for p in scenario.link_truth.nlos_pairs)
         self._nlos_cross_z = scenario.link_truth.nlos_cross_z
@@ -403,31 +405,18 @@ class Simulation:
         self.channel.prune(start, self._channel_horizon)
         self.channel.add(tx)
         self.counters["transmissions"] += 1
-        # anyone currently sensing in range hears the channel go busy
-        for other in self._ordered if self._sensing else ():
-            if other.sense_token is None or other is node:
+        # sensing nodes that hear the sender find the channel busy, in id order
+        sensing = self._sensing
+        for other in self._ordered if sensing else ():
+            on_busy = sensing.get(other.nid)
+            if on_busy is None or other is node:
                 continue
-            if link_key(other.nid, node.nid) in self._blocked:
-                continue
-            pos = self._position(other, start)
-            if _dist(pos, tx.src_pos) <= self.scenario.link_truth.comm_range_m:
-                token = other.sense_token
-                other.sense_token = None
-                self._sensing.discard(other)
-                token["on_busy"]()
+            dist = _dist(self._position(other, start), tx.src_pos)
+            if hears(other.nid, node.nid, dist, self._comm_range, self._blocked):
+                del sensing[other.nid]
+                on_busy()
         self._schedule(tx.end, lambda: self._tx_end(tx))
         return tx
-
-    def _channel_busy_for(self, node: _Node) -> bool:
-        pos = self._position(node, self.now)
-        for tx in self.channel.active_at(self.now):
-            if tx.src == node.nid:
-                continue
-            if link_key(tx.src, node.nid) in self._blocked:
-                continue
-            if _dist(pos, tx.src_pos) <= self.scenario.link_truth.comm_range_m:
-                return True
-        return False
 
     def _tx_end(self, tx: Transmission):
         end = tx.end
@@ -436,10 +425,7 @@ class Simulation:
             other.nid: self._position(other, end)
             for other in self._ordered if other.nid != tx.src
         }
-        outcomes = arbitrate(
-            self.channel, tx, receivers, self.scenario.link_truth.comm_range_m,
-            self._blocked,
-        )
+        outcomes = arbitrate(self.channel, tx, receivers, self._comm_range, self._blocked)
         counters, trace, nodes = self.counters, self.trace, self.nodes
         delivered = []
         for nid, (outcome, dist) in outcomes.items():
@@ -458,12 +444,11 @@ class Simulation:
             gains = np.exp(self.rng.normal(0.0, sigma, size=len(delivered))).tolist()
         else:
             gains = [1.0] * len(delivered)
-        expiry = self.par.neighbor_expiry_s
         for (node, dist), gain in zip(delivered, gains):
             if not node.is_anchor:
                 # Anchors never run epochs, so nothing reads their neighbor tables.
                 xi = erc_estimate(self.is_nlos(node.nid, tx.src, end), gain)
-                neighbor_update(node.table, msg, end, expiry, xi=xi)
+                neighbor_update(node.table, msg, end, xi=xi)
             if msg.dst == node.nid:  # chirps are broadcast (dst None)
                 self._receive(node, tx, dist)
 
@@ -494,7 +479,7 @@ class Simulation:
             node.session = session
             _, actions = ranging_fsm_step(session, rx_msg, node.nid)
             self._process_fsm_actions(node, actions)
-            self._arm_timeout(node)
+            node.timeout_gen += 1  # disarm the last session's timer; the reply arms one
 
     def _process_fsm_actions(self, node: _Node, actions):
         for action in actions:
@@ -652,49 +637,41 @@ class Simulation:
             links.append(operation.LinkInfo(nid, u, entry.xi, entry.cov[:3, :3]))
         if not links:
             return None, None
-        # Summaries are never modified in place, only replaced, so the
-        # snapshot can hold the arrays themselves.
-        agent.link_snapshot = {
-            l.neighbor: (l.xi, agent.table.entries[l.neighbor].mu_p,
-                         agent.table.entries[l.neighbor].cov)
-            for l in links
-        }
         if self.scenario.algorithms.prioritization == "UNIFORM":
             problem = operation.AllocationProblem(c_p, tuple(links), self.par.m_per_neighbor)
             pick = int(self.rng.integers(len(links)))
             m = np.zeros(len(links), dtype=int)
             m[pick] = self.par.m_per_neighbor
-            obj = float(operation.predicted_covariance(problem, m).trace())
-            return problem, operation.AllocationResult(m, obj)
+            return problem, operation.AllocationResult(m, None)  # see _htna_gate
         problem = operation.AllocationProblem(c_p, tuple(links), self.par.budget)
         warm = np.array(
             [agent.warm_alloc.get(l.neighbor, self.par.budget / len(links)) for l in links]
         )
-        result = operation.cpnp_allocate(
-            problem, operation.SolverOptions(max_iters=300, tol=1e-6, warm_start=warm)
-        )
+        result = operation.cpnp_allocate(problem, warm_start=warm)
         agent.warm_alloc = {
             l.neighbor: float(v) for l, v in zip(links, result.relaxed_m)
         }
         return problem, result
 
     def _start_sense(self, agent: _Node, window: float, on_idle, on_busy):
-        if self._channel_busy_for(agent):
-            on_busy()
-            return
-        token = {"on_busy": on_busy}
-        agent.sense_token = token
-        self._sensing.add(agent)
+        now = self.now
+        pos = self._position(agent, now)
+        for tx in self.channel.recent:  # a frame already in the air
+            if tx.src == agent.nid or not tx.start <= now < tx.end:
+                continue
+            if hears(agent.nid, tx.src, _dist(pos, tx.src_pos), self._comm_range, self._blocked):
+                on_busy()
+                return
+        self._sensing[agent.nid] = on_busy
         self._schedule(
-            self.now + window,
-            lambda a=agent, tok=token, cb=on_idle: self._sense_complete(a, tok, cb),
+            now + window,
+            lambda a=agent, tok=on_busy, cb=on_idle: self._sense_complete(a, tok, cb),
         )
 
     def _sense_complete(self, agent: _Node, token, on_idle):
-        if agent.sense_token is not token:
-            return  # was cancelled by a busy channel
-        agent.sense_token = None
-        self._sensing.discard(agent)
+        if self._sensing.get(agent.nid) is not token:
+            return  # was closed by a busy channel
+        del self._sensing[agent.nid]
         on_idle()
 
     def _csma_busy(self, agent: _Node, policy: protocol.CsmaPolicy):
@@ -714,6 +691,10 @@ class Simulation:
 
     def _htna_gate(self, agent: _Node):
         result = agent.proposal
+        if result.objective is None:
+            # Only this gate reads the predicted trace of a uniform pick.
+            obj = operation.predicted_covariance(agent.problem, result.m).trace()
+            result = operation.AllocationResult(result.m, float(obj))
         dt_j = self.par.t_m_s * result.total
         covs = [agent.belief.covariance]
         for nid in agent.table.neighbors():
@@ -734,8 +715,8 @@ class Simulation:
         agent.activated = True
         pos = self._position(agent, self.now)
         for other in self._holding:
-            opos = self._position(self.nodes[other], self.now)
-            if _dist(pos, opos) <= self.scenario.link_truth.comm_range_m:
+            dist = _dist(pos, self._position(self.nodes[other], self.now))
+            if hears(agent.nid, other, dist, self._comm_range, self._blocked):
                 self.counters["subnet_violations"] += 1
                 break
         self._holding.add(agent.nid)
@@ -765,7 +746,7 @@ class Simulation:
         agent.session = session
         actions = begin_ranging(session)
         self._process_fsm_actions(agent, actions)
-        self._arm_timeout(agent)
+        agent.timeout_gen += 1  # disarm the last session's timer; the init arms one
 
     def _on_range_ready(self, node: _Node, value: float):
         if not node.in_hold:
@@ -784,22 +765,18 @@ class Simulation:
         self._holding.discard(agent.nid)
         entries = []
         for nbr in sorted(agent.collected):
+            # The table is purged only at the start of an epoch, so every
+            # neighbor prioritized then still has its entry.
             ranges = agent.collected[nbr]
-            if not ranges:
-                continue
-            if nbr in agent.table.entries:
-                e = agent.table.entries[nbr]
-                xi, mu_p, cov = e.xi, e.mu_p, e.cov
-            else:
-                xi, mu_p, cov = agent.link_snapshot[nbr]
+            e = agent.table.entries[nbr]
             count = len(ranges)
             entries.append(
                 inference.MeasurementEntry(
                     neighbor=nbr,
                     z=float(np.mean(ranges)),
-                    variance=measurement_variance(count, xi),
-                    mu_p=mu_p,
-                    c_p=cov[:3, :3],
+                    variance=measurement_variance(count, e.xi),
+                    mu_p=e.mu_p,
+                    c_p=e.cov[:3, :3],
                 )
             )
             key = (agent.nid, nbr)

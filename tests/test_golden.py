@@ -10,8 +10,8 @@ why in CHANGES.md.
 Every bundled scenario's communication range (60 m) covers its whole room,
 so no frame in those runs is ever out of range. SHORT_RANGE pins the range
 branch of the channel too: the two cooperative scenarios under all five
-acronyms with the range cut to 9 m, where many receptions, carrier senses
-and subnetwork checks fall out of range.
+acronyms with the range cut to 9 m, where many receptions, interferers and
+carrier senses fall out of range.
 """
 
 import dataclasses

@@ -13,13 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from coopnav.errors import InvalidArgumentError, NumericFailureError
 from coopnav.inference import (
-    DEFAULT_UT,
     _matrix_sqrt,
     _stacked_ranges,
-    LsOptions,
     MeasurementBatch,
     MeasurementEntry,
-    UtParams,
     build_stacked_prior,
     generate_sigma_points,
     ls_estimate,
@@ -58,9 +55,15 @@ class TestSigmaPoints:
             assert np.allclose(rcov, cov, atol=1e-8)
 
     def test_default_scaling_keeps_spread_constant(self):
-        # With kappa = 3 - L, the sigma-point spread scale L + lambda is 3.
+        # With kappa = 3 - L, the sigma-point spread scale L + lambda is 3:
+        # each outer point weighs 1 / (2 (L + lambda)) and the centre
+        # lambda / (L + lambda), with beta = 2 added for the covariance.
         for dim in (1, 3, 6, 9):
-            assert DEFAULT_UT.lam(dim) + dim == pytest.approx(3.0)
+            sp = generate_sigma_points(np.zeros(dim), np.eye(dim))
+            assert np.allclose(sp.mean_weights[1:], 1.0 / 6.0)
+            assert sp.mean_weights[0] == pytest.approx((3.0 - dim) / 3.0)
+            assert sp.cov_weights[0] == pytest.approx((3.0 - dim) / 3.0 + 2.0)
+            assert np.allclose(sp.points[1 : dim + 1], np.sqrt(3.0) * np.eye(dim))
 
     def test_non_psd_raises_with_min_eigenvalue(self):
         cov = np.diag([1.0, -0.5])

@@ -16,7 +16,6 @@ from coopnav.operation import (
     AllocationProblem,
     AllocationResult,
     LinkInfo,
-    SolverOptions,
     brute_force_allocate,
     cpnp_allocate,
     htna_decide,
@@ -301,9 +300,7 @@ class TestAllocation:
         rng = np.random.default_rng(17)
         problem = AllocationProblem(random_cov(rng), random_links(rng, 4), 10)
         cold = cpnp_allocate(problem)
-        warm = cpnp_allocate(
-            problem, SolverOptions(warm_start=np.asarray(cold.relaxed_m))
-        )
+        warm = cpnp_allocate(problem, warm_start=np.asarray(cold.relaxed_m))
         assert warm.objective <= cold.objective + 1e-9
 
     @given(st.integers(0, 2**32 - 1))

@@ -2,6 +2,7 @@
 arbitration and sensing, determinism, and end-to-end estimation sanity."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coopnav.config import (
     Waypoint,
 )
 from coopnav.errors import SimulationError
+from coopnav.operation import AllocationProblem, AllocationResult, LinkInfo
 from coopnav.protocol import Message, MsgKind
 from coopnav.simkernel import (
     ChannelState,
@@ -203,12 +205,6 @@ class TestChannelState:
         ch.prune(1.0, 0.005)
         assert [t.src for t in ch.recent] == [2]
 
-    def test_active_at(self):
-        ch = ChannelState()
-        ch.add(_tx(1, 0.0, 0.002, [0, 0, 0]))
-        assert [t.src for t in ch.active_at(0.001)] == [1]
-        assert ch.active_at(0.002) == []
-
 
 class TestChannelSense:
     """The kernel's sensing path: agent 10 senses while anchors transmit."""
@@ -245,6 +241,91 @@ class TestChannelSense:
 
     def test_zero_window_idle(self):
         assert self.sense([], window=0.0) == [("idle", 0.001)]
+
+
+TWO_AGENTS = (
+    AgentSpec(10, (3.0, 3.0, 1.0), belief_mean=(3.5, 3.5, 1.2, 0, 0, 0)),
+    AgentSpec(11, (5.0, 3.0, 1.0), belief_mean=(5.5, 3.5, 1.2, 0, 0, 0)),
+)
+
+
+def _idle_sim(**over):
+    """A Simulation of anchors 1-4 and agents 10 and 11 with an empty queue
+    and no epochs after the current one (a period beyond the run)."""
+    sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=1.0, **over), seed=0)
+    sim._queue.clear()
+    for nid in (10, 11):
+        sim.nodes[nid].period = 10.0
+    return sim
+
+
+def _exchange_at(sim, t, initiator, responder):
+    """Schedule a hold of `initiator` at t with one exchange with `responder`."""
+    agent = sim.nodes[initiator]
+
+    def start():
+        agent.in_hold = True
+        agent.collected = {}
+        agent.exchange_queue = deque([responder])
+        sim._next_exchange(agent)
+
+    sim._schedule(t, start)
+
+
+class TestSessionTimeout:
+    """A node's finished session leaves its last timer pending. A session it
+    starts before that timer expires must not be failed by it."""
+
+    @pytest.mark.parametrize("role", ["responder", "initiator"])
+    def test_old_timer_spares_next_session(self, role):
+        sim = _idle_sim()
+        par = sim.par
+        ta, air = par.turnaround_s, par.msg_air_s
+        # Agent 11 ranges with node 10 (an agent) at 0. Node 10's reply goes
+        # out at 2 ta + air and arms a timer that the finished exchange (done
+        # by 4 (ta + air)) leaves pending until `stale`.
+        stale = 2 * ta + air + par.ranging_timeout_s
+        assert 4 * (ta + air) < stale - 2 * ta - air
+        _exchange_at(sim, 0.0, 11, 10)
+        if role == "responder":
+            # Agent 11 ranges with node 10 again: the init arrives ta / 2
+            # before `stale`, and node 10's reply leaves ta / 2 after it.
+            _exchange_at(sim, stale - 1.5 * ta - air, 11, 10)
+        else:
+            # Node 10 starts its own exchange ta / 2 before `stale`; its init
+            # message leaves ta / 2 after it.
+            _exchange_at(sim, stale - 0.5 * ta, 10, 1)
+        result = sim.run()
+        assert result.counters["failed_exchanges"] == 0
+        expected = {(11, 10): 2} if role == "responder" else {(10, 1): 1, (11, 10): 1}
+        assert result.link_counts == expected
+
+
+class TestSubnetViolations:
+    """Two agents holding the channel at once violate the subnetwork rule
+    only if they hear each other."""
+
+    @staticmethod
+    def violations(**over):
+        sim = _idle_sim(**over)
+        for nid in (10, 11):
+            agent = sim.nodes[nid]
+            # One pending exchange each, so both are still holding.
+            link = LinkInfo(1, np.array([1.0, 0.0, 0.0]), 100.0, np.zeros((3, 3)))
+            agent.problem = AllocationProblem(np.eye(3), (link,), 1)
+            agent.proposal = AllocationResult(np.array([1]), None)
+            sim._begin_hold(agent)
+        return sim.counters["subnet_violations"]
+
+    def test_agents_in_range_violate(self):
+        assert self.violations() == 1
+
+    def test_blocked_agents_do_not_violate(self):
+        blocked = LinkTruthConfig(blocked_pairs=((10, 11),))
+        assert self.violations(link_truth=blocked) == 0
+
+    def test_agents_out_of_range_do_not_violate(self):
+        assert self.violations(link_truth=LinkTruthConfig(comm_range_m=1.0)) == 0
 
 
 class TestRecordFormatting:
