@@ -69,16 +69,10 @@ class Algorithms:
 
 @dataclass(frozen=True)
 class Parameters:
-    # motion / belief
-    sigma_x2: float = 0.06**2
-    sigma_y2: float = 0.06**2
-    sigma_z2: float = 0.02**2
-    pos_sigma: float = 3.0
-    vel_sigma: float = 1.0
-    # coarse deployment-area prior: centered in the room, near walking height
-    default_belief_mean: tuple = (6.0, 4.0, 1.5, 0.0, 0.0, 0.0)
+    """The settable scenario parameters. Fixed model and protocol constants
+    live in the modules that read them (simkernel, protocol)."""
+
     # measurement allocation
-    m_per_neighbor: int = 4
     budget: int = 12
     allow_agent_measurements: bool = True
     # epochs
@@ -87,25 +81,12 @@ class Parameters:
     # channel / protocol timing
     t_m_s: float = 0.002  # airtime equivalent of one full measurement
     msg_air_s: float = 0.0004
-    turnaround_s: float = 0.0001
-    exchange_gap_s: float = 0.0001
-    ranging_timeout_s: float = 0.01
     chirp_mean_interval_s: float = 1.0
-    chirp_air_s: float = 0.0002
-    neighbor_expiry_s: float = 5.0
     # radio error model
     los_sigma_m: float = 0.10
-    nlos_bias_mean_m: float = 0.6
     erc_noise_sigma: float = 0.1
     clock_drift_ppm: float = 20.0
     clock_offset_max_s: float = 0.01
-    # policies
-    aloha_mean_delay_s: float = 0.02
-    csma_sense_s: float = 0.0005
-    csma_backoff_base_s: float = 0.001
-    csma_max_attempts: int = 6
-    htna_window_lo: float = 0.5
-    htna_window_hi: float = 2.0
     # metrics
     metrics_burn_in_s: float = 0.0
 
@@ -274,8 +255,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
             kwargs[key] = bool(value)
         elif isinstance(default, int):
             kwargs[key] = int(value)
-        elif isinstance(default, tuple):
-            kwargs[key] = _vec(value, len(default), f"parameters.{key}")
         else:
             kwargs[key] = float(value)
     parameters = Parameters(**kwargs)

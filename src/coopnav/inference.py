@@ -228,12 +228,3 @@ def ls_estimate(prev, batch: MeasurementBatch) -> np.ndarray:
         if math.sqrt(p.dot(p)) > LS_DIVERGENCE_NORM:
             raise EstimationFailureError("LS gradient descent diverged")
     return p
-
-
-def ls_residual(p, batch: MeasurementBatch) -> float:
-    """Value of the LS cost at p."""
-    p = np.asarray(p, dtype=float)
-    total = 0.0
-    for e in batch.entries:
-        total += (np.linalg.norm(p - e.mu_p) - e.z) ** 2
-    return float(total)

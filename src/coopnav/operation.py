@@ -161,11 +161,6 @@ def predicted_covariance(problem: AllocationProblem, m) -> np.ndarray:
     return symmetrize(out)
 
 
-def trace_reduction(problem: AllocationProblem, m) -> float:
-    """Potential trace reduction of the own position covariance under m."""
-    return float(problem.c_pj.trace() - predicted_covariance(problem, m).trace())
-
-
 def trace_increase(covariances, model: MotionModel, dt: float) -> float:
     """Total position-trace growth of the given subnetwork beliefs over dt seconds.
 
@@ -198,7 +193,7 @@ def htna_decide(inputs: ActivationInputs, problem: AllocationProblem) -> bool:
 
     The proposal must be an allocation for `problem`: its objective, the
     predicted covariance trace, gives the reduction tr(C_pj) - objective
-    (the value of trace_reduction) without evaluating it again.
+    without evaluating predicted_covariance again.
     """
     reduction = float(problem.c_pj.trace() - inputs.proposal.objective)
     increase = trace_increase(inputs.covariances, inputs.motion, inputs.dt_s)

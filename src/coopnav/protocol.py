@@ -31,6 +31,21 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # DW1000-style timestamp granularity: 1 / (128 * 499.2 MHz).
 DEFAULT_TICK_S = 1.0 / (128 * 499.2e6)
 
+# Protocol timing [s].
+TURNAROUND_S = 0.0001  # from a reception to the reply it triggers
+EXCHANGE_GAP_S = 0.0001  # between consecutive exchanges of one hold
+RANGING_TIMEOUT_S = 0.01  # a session waits this long for its partner
+CHIRP_AIR_S = 0.0002  # airtime of a discovery chirp
+NEIGHBOR_EXPIRY_S = 5.0  # a neighbor not heard for this long is forgotten
+
+# Channel-access policies.
+ALOHA_MEAN_DELAY_S = 0.02
+CSMA_SENSE_S = 0.0005
+CSMA_BACKOFF_BASE_S = 0.001
+CSMA_MAX_ATTEMPTS = 6
+HTNA_WINDOW_LO = 0.5  # HTNA sense window bounds, in units of t_m_s
+HTNA_WINDOW_HI = 2.0
+
 
 class MsgKind(enum.Enum):
     RANGING_INIT = "ranging-init"
@@ -60,7 +75,7 @@ class Message:
     session_id: int = 0
 
 
-def twr_range(t1, t2, t3, t4, t5, t6, tick_period: float = DEFAULT_TICK_S) -> float:
+def twr_range(t1, t2, t3, t4, t5, t6) -> float:
     """Symmetric double-sided TWR range from six local timestamps [ticks].
 
     ToF = (Tround1 Tround2 - Treply1 Treply2) / (Tround1 + Tround2 + Treply1 + Treply2)
@@ -76,7 +91,7 @@ def twr_range(t1, t2, t3, t4, t5, t6, tick_period: float = DEFAULT_TICK_S) -> fl
     tof_ticks = (round1 * round2 - reply1 * reply2) / denom
     if tof_ticks < 0:
         raise RangingError("negative time of flight (garbled exchange)")
-    return tof_ticks * tick_period * SPEED_OF_LIGHT
+    return tof_ticks * DEFAULT_TICK_S * SPEED_OF_LIGHT
 
 
 class Phase(enum.Enum):
@@ -114,7 +129,6 @@ class RangingSession:
     initiator: object
     responder: object
     session_id: int = 0
-    tick_period: float = DEFAULT_TICK_S
     phase: Phase = Phase.IDLE
     t1: float | None = None
     t2: float | None = None
@@ -189,7 +203,6 @@ def ranging_fsm_step(session: RangingSession, event, node) -> tuple[RangingSessi
                 value = twr_range(
                     session.t1, session.t2, session.t3,
                     session.t4, session.t5, session.t6,
-                    session.tick_period,
                 )
             except RangingError:
                 session.phase = Phase.FAILED
@@ -305,8 +318,8 @@ class ClockModel:
         if abs(self.drift_ppm) > 100.0:
             raise InvalidArgumentError("clock drift limited to 100 ppm")
 
-    def ticks(self, t: float, tick_period: float = DEFAULT_TICK_S) -> float:
-        return (t * (1.0 + self.drift_ppm * 1e-6) + self.offset) / tick_period
+    def ticks(self, t: float) -> float:
+        return (t * (1.0 + self.drift_ppm * 1e-6) + self.offset) / DEFAULT_TICK_S
 
 
 # --- channel-access policies -------------------------------------------------
@@ -319,45 +332,20 @@ def chirp_scheduler(rng, mean_interval: float) -> float:
     return float(rng.exponential(mean_interval))
 
 
-@dataclass(frozen=True)
-class AlohaPolicy:
-    """Transmit without sensing, at randomly jittered attempt times."""
-
-    mean_delay_s: float = 0.02
-    name = "ALOHA"
-
-    def attempt_delay(self, rng) -> float:
-        return float(rng.exponential(self.mean_delay_s))
+def aloha_delay(rng) -> float:
+    """ALOHA: transmit without sensing, after an exponential delay."""
+    return float(rng.exponential(ALOHA_MEAN_DELAY_S))
 
 
-@dataclass(frozen=True)
-class CsmaPolicy:
-    """Sense first; exponential backoff while the channel is busy."""
-
-    sense_s: float = 0.0005
-    backoff_base_s: float = 0.001
-    max_attempts: int = 6
-    name = "CSMA"
-
-    def sense_window(self, rng) -> float:
-        return self.sense_s
-
-    def backoff(self, attempt: int, rng) -> float | None:
-        """Backoff delay before retry `attempt` (0-based); None when giving up."""
-        if attempt >= self.max_attempts:
-            return None
-        return float(self.backoff_base_s * (2**attempt) * rng.random())
+def csma_backoff(attempt: int, rng) -> float | None:
+    """CSMA backoff before retry `attempt` (0-based) after a busy sense of
+    CSMA_SENSE_S; None when giving up."""
+    if attempt >= CSMA_MAX_ATTEMPTS:
+        return None
+    return float(CSMA_BACKOFF_BASE_S * (2**attempt) * rng.random())
 
 
-@dataclass(frozen=True)
-class HtnaPolicy:
-    """Random sense window; if idle, gate the transmission on the
+def htna_sense_window(t_m_s: float, rng) -> float:
+    """HTNA: random sense window; if idle, the transmission is gated on the
     trace-reduction-vs-increase threshold (see operation.htna_decide)."""
-
-    t_m_s: float = 0.002
-    window_lo: float = 0.5
-    window_hi: float = 2.0
-    name = "HTNA"
-
-    def sense_window(self, rng) -> float:
-        return float(rng.uniform(self.window_lo, self.window_hi) * self.t_m_s)
+    return float(rng.uniform(HTNA_WINDOW_LO, HTNA_WINDOW_HI) * t_m_s)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import inference, operation, protocol
 from .config import ScenarioConfig
-from .errors import SimulationError
+from .errors import DegenerateGeometryError, EstimationFailureError, SimulationError
 from .model import (
     GaussianBelief,
     MotionModel,
@@ -43,6 +43,19 @@ from .protocol import (
     neighbor_update,
     ranging_fsm_step,
 )
+
+# Motion model: per-axis acceleration noise variances.
+SIGMA_X2 = 0.06**2
+SIGMA_Y2 = 0.06**2
+SIGMA_Z2 = 0.02**2
+# Initial belief of an agent whose spec sets none: a coarse deployment-area
+# prior, centered in the room, near walking height.
+DEFAULT_BELIEF_MEAN = (6.0, 4.0, 1.5, 0.0, 0.0, 0.0)
+POS_SIGMA = 3.0
+VEL_SIGMA = 1.0
+M_PER_NEIGHBOR = 4  # measurements per epoch under uniform prioritization
+NLOS_BIAS_MEAN_M = 0.6  # mean of the exponential excess path of an NLOS link
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -273,13 +286,13 @@ class Simulation:
         self.par = scenario.parameters
         self.collect_trace = collect_trace
         self.rng = np.random.default_rng(self.seed)
-        self.motion = MotionModel(self.par.sigma_x2, self.par.sigma_y2, self.par.sigma_z2)
+        self.motion = MotionModel(SIGMA_X2, SIGMA_Y2, SIGMA_Z2)
         self.duration = scenario.duration_s
         self.now = 0.0
         self._seq = itertools.count()
         self._queue: list = []
         self.channel = ChannelState()
-        self._channel_horizon = max(self.par.msg_air_s, self.par.chirp_air_s)
+        self._channel_horizon = max(self.par.msg_air_s, protocol.CHIRP_AIR_S)
         self.records: list[RunRecord] = []
         self.link_counts: dict = {}
         self.trace: list | None = [] if collect_trace else None
@@ -321,11 +334,11 @@ class Simulation:
                 wps = wps[1:]
             traj = Trajectory(tuple(wps))
             mean = np.array(
-                a.belief_mean if a.belief_mean is not None else par.default_belief_mean,
+                a.belief_mean if a.belief_mean is not None else DEFAULT_BELIEF_MEAN,
                 dtype=float,
             )
-            ps = par.pos_sigma if a.pos_sigma is None else a.pos_sigma
-            vs = par.vel_sigma if a.vel_sigma is None else a.vel_sigma
+            ps = POS_SIGMA if a.pos_sigma is None else a.pos_sigma
+            vs = VEL_SIGMA if a.vel_sigma is None else a.vel_sigma
             cov = np.diag([ps * ps] * 3 + [vs * vs] * 3)
             node = _Node(a.id, False, traj, self._draw_clock(), GaussianBelief(mean, cov))
             node.ls_est = mean[:3].copy()
@@ -485,7 +498,7 @@ class Simulation:
         for action in actions:
             if isinstance(action, SendMessage):
                 self._schedule(
-                    self.now + self.par.turnaround_s,
+                    self.now + protocol.TURNAROUND_S,
                     lambda n=node, a=action: self._send_session_message(n, a),
                 )
             elif isinstance(action, RangeReady):
@@ -517,7 +530,7 @@ class Simulation:
         node.timeout_gen += 1
         gen = node.timeout_gen
         self._schedule(
-            self.now + self.par.ranging_timeout_s,
+            self.now + protocol.RANGING_TIMEOUT_S,
             lambda n=node, g=gen: self._session_timeout(n, g),
         )
 
@@ -535,7 +548,7 @@ class Simulation:
                     x for x in node.exchange_queue if x != failed
                 )
             self._schedule(
-                self.now + self.par.exchange_gap_s,
+                self.now + protocol.EXCHANGE_GAP_S,
                 lambda n=node: self._next_exchange(n),
             )
 
@@ -555,7 +568,7 @@ class Simulation:
                 kind=MsgKind.CHIRP, src=node.nid, dst=None,
                 payload=self._state_summary(node),
             )
-            self._transmit(node, msg, self.par.chirp_air_s)
+            self._transmit(node, msg, protocol.CHIRP_AIR_S)
             nxt = self.now + chirp_scheduler(self.rng, self.par.chirp_mean_interval_s)
         if nxt < self.duration:
             self._schedule(nxt, lambda n=node: self._chirp(n))
@@ -576,7 +589,7 @@ class Simulation:
         agent.current_peer = None
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
-        agent.table.purge(t0, self.par.neighbor_expiry_s)
+        agent.table.purge(t0, protocol.NEIGHBOR_EXPIRY_S)
         problem, proposal = self._prioritize(agent)
         agent.problem = problem
         agent.proposal = proposal
@@ -585,25 +598,17 @@ class Simulation:
             return
         activation = self.scenario.algorithms.activation
         if activation == "ALOHA":
-            policy = protocol.AlohaPolicy(self.par.aloha_mean_delay_s)
-            delay = policy.attempt_delay(self.rng)
+            delay = protocol.aloha_delay(self.rng)
             self._schedule(t0 + delay, lambda a=agent: self._begin_hold(a))
         elif activation == "CSMA":
-            policy = protocol.CsmaPolicy(
-                self.par.csma_sense_s, self.par.csma_backoff_base_s,
-                self.par.csma_max_attempts,
-            )
             self._start_sense(
-                agent, policy.sense_window(self.rng),
+                agent, protocol.CSMA_SENSE_S,
                 on_idle=lambda a=agent: self._begin_hold(a),
-                on_busy=lambda a=agent, p=policy: self._csma_busy(a, p),
+                on_busy=lambda a=agent: self._csma_busy(a),
             )
         elif activation == "HTNA":
-            policy = protocol.HtnaPolicy(
-                self.par.t_m_s, self.par.htna_window_lo, self.par.htna_window_hi
-            )
             self._start_sense(
-                agent, policy.sense_window(self.rng),
+                agent, protocol.htna_sense_window(self.par.t_m_s, self.rng),
                 on_idle=lambda a=agent: self._htna_gate(a),
                 on_busy=lambda a=agent: self._finalize(a),
             )
@@ -632,16 +637,16 @@ class Simulation:
             entry = agent.table.entries[nid]
             try:
                 u = operation.unit_direction(mu_p, entry.mu_p)
-            except Exception:
+            except DegenerateGeometryError:
                 continue
             links.append(operation.LinkInfo(nid, u, entry.xi, entry.cov[:3, :3]))
         if not links:
             return None, None
         if self.scenario.algorithms.prioritization == "UNIFORM":
-            problem = operation.AllocationProblem(c_p, tuple(links), self.par.m_per_neighbor)
+            problem = operation.AllocationProblem(c_p, tuple(links), M_PER_NEIGHBOR)
             pick = int(self.rng.integers(len(links)))
             m = np.zeros(len(links), dtype=int)
-            m[pick] = self.par.m_per_neighbor
+            m[pick] = M_PER_NEIGHBOR
             return problem, operation.AllocationResult(m, None)  # see _htna_gate
         problem = operation.AllocationProblem(c_p, tuple(links), self.par.budget)
         warm = np.array(
@@ -674,18 +679,18 @@ class Simulation:
         del self._sensing[agent.nid]
         on_idle()
 
-    def _csma_busy(self, agent: _Node, policy: protocol.CsmaPolicy):
-        delay = policy.backoff(agent.csma_attempt, self.rng)
+    def _csma_busy(self, agent: _Node):
+        delay = protocol.csma_backoff(agent.csma_attempt, self.rng)
         agent.csma_attempt += 1
         if delay is None:
             self._finalize(agent)
             return
         self._schedule(
             self.now + delay,
-            lambda a=agent, p=policy: self._start_sense(
-                a, p.sense_window(self.rng),
+            lambda a=agent: self._start_sense(
+                a, protocol.CSMA_SENSE_S,
                 on_idle=lambda: self._begin_hold(a),
-                on_busy=lambda: self._csma_busy(a, p),
+                on_busy=lambda: self._csma_busy(a),
             ),
         )
 
@@ -736,7 +741,7 @@ class Simulation:
         pair = link_key(agent.nid, nbr)
         if self.is_nlos(agent.nid, nbr, self.now):
             self._link_excess[pair] = float(
-                self.rng.exponential(self.par.nlos_bias_mean_m)
+                self.rng.exponential(NLOS_BIAS_MEAN_M)
             )
         else:
             self._link_excess[pair] = 0.0
@@ -756,7 +761,7 @@ class Simulation:
         node.collected.setdefault(nbr, []).append(value)
         node.session = None
         self._schedule(
-            self.now + self.par.exchange_gap_s,
+            self.now + protocol.EXCHANGE_GAP_S,
             lambda n=node: self._next_exchange(n),
         )
 
@@ -795,7 +800,7 @@ class Simulation:
                     agent.ls_est = inference.ls_estimate(
                         agent.ls_est, inference.MeasurementBatch(tuple(entries))
                     )
-                except Exception:
+                except EstimationFailureError:
                     pass  # divergence: keep the previous estimate
             est = agent.ls_est
             cov_trace = float("nan")

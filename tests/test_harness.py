@@ -186,6 +186,22 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="initial_velocity"):
             scenario_from_dict(bad)
 
+    @pytest.mark.parametrize("key", [
+        "sigma_x2", "sigma_y2", "sigma_z2", "pos_sigma", "vel_sigma",
+        "default_belief_mean", "m_per_neighbor", "nlos_bias_mean_m",
+        "turnaround_s", "exchange_gap_s", "ranging_timeout_s", "chirp_air_s",
+        "neighbor_expiry_s", "aloha_mean_delay_s", "csma_sense_s",
+        "csma_backoff_base_s", "csma_max_attempts", "htna_window_lo",
+        "htna_window_hi",
+    ])
+    def test_fixed_constant_rejected(self, key):
+        # Model and protocol constants live in simkernel and protocol; a
+        # scenario cannot set them.
+        bad = dict(MINIMAL)
+        bad["parameters"] = {key: 1}
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict(bad)
+
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)
         bad["agents"] = [{"id": 10, "initial_position": [1, 1]}]

@@ -10,11 +10,10 @@ from coopnav.model import ERC_MAX, ERC_MIN
 from coopnav.protocol import (
     DEFAULT_TICK_S,
     SPEED_OF_LIGHT,
+    CSMA_BACKOFF_BASE_S,
+    CSMA_MAX_ATTEMPTS,
     TIMEOUT,
-    AlohaPolicy,
     ClockModel,
-    CsmaPolicy,
-    HtnaPolicy,
     Message,
     MsgKind,
     NeighborTable,
@@ -23,9 +22,12 @@ from coopnav.protocol import (
     RangingSession,
     SendMessage,
     StateSummary,
+    aloha_delay,
     begin_ranging,
     chirp_scheduler,
+    csma_backoff,
     erc_estimate,
+    htna_sense_window,
     neighbor_update,
     ranging_fsm_step,
     twr_range,
@@ -303,20 +305,17 @@ class TestPolicies:
 
     def test_aloha_delay_positive(self):
         rng = np.random.default_rng(3)
-        p = AlohaPolicy(mean_delay_s=0.02)
-        assert all(p.attempt_delay(rng) >= 0 for _ in range(100))
+        assert all(aloha_delay(rng) >= 0 for _ in range(100))
 
     def test_csma_backoff_grows_then_gives_up(self):
         rng = np.random.default_rng(4)
-        p = CsmaPolicy(backoff_base_s=0.001, max_attempts=4)
-        for attempt in range(4):
-            b = p.backoff(attempt, rng)
-            assert b is not None and 0 <= b <= 0.001 * 2**attempt
-        assert p.backoff(4, rng) is None
+        for attempt in range(CSMA_MAX_ATTEMPTS):
+            b = csma_backoff(attempt, rng)
+            assert b is not None and 0 <= b <= CSMA_BACKOFF_BASE_S * 2**attempt
+        assert csma_backoff(CSMA_MAX_ATTEMPTS, rng) is None
 
     def test_htna_sense_window_bounds(self):
         rng = np.random.default_rng(5)
-        p = HtnaPolicy(t_m_s=0.002, window_lo=0.5, window_hi=2.0)
         for _ in range(200):
-            w = p.sense_window(rng)
+            w = htna_sense_window(0.002, rng)
             assert 0.001 <= w <= 0.004

@@ -7,7 +7,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from coopnav import inference, operation
 from coopnav.config import (
+    ACRONYMS,
     AgentSpec,
     Algorithms,
     AnchorSpec,
@@ -16,9 +18,19 @@ from coopnav.config import (
     ScenarioConfig,
     Waypoint,
 )
-from coopnav.errors import SimulationError
+from coopnav.errors import (
+    DegenerateGeometryError,
+    EstimationFailureError,
+    SimulationError,
+)
 from coopnav.operation import AllocationProblem, AllocationResult, LinkInfo
-from coopnav.protocol import Message, MsgKind
+from coopnav.protocol import (
+    CHIRP_AIR_S,
+    RANGING_TIMEOUT_S,
+    TURNAROUND_S,
+    Message,
+    MsgKind,
+)
 from coopnav.simkernel import (
     ChannelState,
     RunRecord,
@@ -179,7 +191,7 @@ class TestArbitrate:
         scen = dataclasses.replace(
             small_scenario(parameters=par, agents=agents), anchors=anchors
         )
-        frames = ((0.0, 1, par.msg_air_s), (0.0005, 2, 0.0005), (0.0065, 3, par.chirp_air_s))
+        frames = ((0.0, 1, par.msg_air_s), (0.0005, 2, 0.0005), (0.0065, 3, CHIRP_AIR_S))
         result = _frames_only(scen, frames, collect_trace=True).run()
         ends = {(src, outcome) for t, _k, src, _d, outcome in result.trace if t == 0.01}
         assert ends == {(1, "collided@2"), (1, "collided@10"), (1, "out-of-range@3")}
@@ -279,12 +291,11 @@ class TestSessionTimeout:
     @pytest.mark.parametrize("role", ["responder", "initiator"])
     def test_old_timer_spares_next_session(self, role):
         sim = _idle_sim()
-        par = sim.par
-        ta, air = par.turnaround_s, par.msg_air_s
+        ta, air = TURNAROUND_S, sim.par.msg_air_s
         # Agent 11 ranges with node 10 (an agent) at 0. Node 10's reply goes
         # out at 2 ta + air and arms a timer that the finished exchange (done
         # by 4 (ta + air)) leaves pending until `stale`.
-        stale = 2 * ta + air + par.ranging_timeout_s
+        stale = 2 * ta + air + RANGING_TIMEOUT_S
         assert 4 * (ta + air) < stale - 2 * ta - air
         _exchange_at(sim, 0.0, 11, 10)
         if role == "responder":
@@ -394,6 +405,107 @@ class TestSimulationRuns:
             "n_meas,activated,policy"
         )
         assert result.trace_csv().splitlines()[0] == "time_s,kind,src,dst,outcome"
+
+
+class _EpochCountingSim(Simulation):
+    """Counts, per agent, the epochs the kernel runs (those before the end)."""
+
+    def __init__(self, *args, **kw):
+        self.epochs = {}
+        super().__init__(*args, **kw)
+
+    def _epoch(self, agent):
+        if self.now < self.duration:
+            self.epochs[agent.nid] = self.epochs.get(agent.nid, 0) + 1
+        super()._epoch(agent)
+
+
+class TestKernelEdgeCases:
+    """Runs at the edges of the kernel keep its bookkeeping invariants."""
+
+    @staticmethod
+    def run_checked(scen, acronym, seed=0):
+        sim = _EpochCountingSim(scen.with_algorithms(acronym), seed=seed)
+        result = sim.run()
+        c = result.counters
+        assert c["delivered"] + c["collided"] + c["out-of-range"] == (
+            c["transmissions"] * (len(sim.nodes) - 1)
+        )
+        per_agent = {}
+        for r in result.records:
+            per_agent[r.node_id] = per_agent.get(r.node_id, 0) + 1
+        assert per_agent == sim.epochs
+        assert sum(result.link_counts.values()) == result.total_measurements()
+        return result
+
+    @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
+    def test_agent_that_hears_no_one(self, acronym):
+        scen = small_scenario(duration_s=2.0, link_truth=LinkTruthConfig(comm_range_m=0.5))
+        result = self.run_checked(scen, acronym)
+        c = result.counters
+        assert c["transmissions"] > 0 and c["delivered"] == c["collided"] == 0
+        assert result.total_measurements() == 0
+
+    @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
+    def test_duration_shorter_than_one_epoch(self, acronym):
+        result = self.run_checked(small_scenario(agents=TWO_AGENTS, duration_s=0.05), acronym)
+        assert [(r.time_s, r.node_id) for r in result.records] == [(0.0, 10), (0.0, 11)]
+
+    @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
+    def test_agents_with_equal_belief_means(self, acronym, monkeypatch):
+        # Without anchors nothing moves either mean, so every direction
+        # between the two agents is degenerate and the link is skipped.
+        degenerate = []
+        unit_direction = operation.unit_direction
+
+        def counting(mu_j, mu_k):
+            try:
+                return unit_direction(mu_j, mu_k)
+            except DegenerateGeometryError:
+                degenerate.append(mu_k)
+                raise
+
+        monkeypatch.setattr(operation, "unit_direction", counting)
+        mean = (6.0, 4.0, 1.2, 0.0, 0.0, 0.0)
+        agents = (
+            AgentSpec(10, (3.0, 3.0, 1.0), belief_mean=mean),
+            AgentSpec(11, (5.0, 3.0, 1.0), belief_mean=mean),
+        )
+        scen = dataclasses.replace(
+            small_scenario(agents=agents, duration_s=3.0), anchors=()
+        )
+        result = self.run_checked(scen, acronym)
+        assert degenerate
+        assert result.total_measurements() == 0
+
+
+class TestUnexpectedErrorsPropagate:
+    """The kernel skips a degenerate link and keeps the last LS estimate on
+    divergence; any other error from those calls is a fault and propagates."""
+
+    CALLEES = [
+        (operation, "unit_direction", "BP-AL-UN", DegenerateGeometryError),
+        (inference, "ls_estimate", "LS-AL-UN", EstimationFailureError),
+    ]
+    CALLEE_IDS = ["unit_direction", "ls_estimate"]
+
+    @staticmethod
+    def run_raising(monkeypatch, module, name, acronym, exc):
+        def raise_exc(*_args, **_kw):
+            raise exc("injected")
+
+        monkeypatch.setattr(module, name, raise_exc)
+        return run(small_scenario(duration_s=2.0).with_algorithms(acronym), seed=0)
+
+    @pytest.mark.parametrize("module,name,acronym,_expected", CALLEES, ids=CALLEE_IDS)
+    def test_unrelated_error_propagates(self, monkeypatch, module, name, acronym, _expected):
+        with pytest.raises(ZeroDivisionError):
+            self.run_raising(monkeypatch, module, name, acronym, ZeroDivisionError)
+
+    @pytest.mark.parametrize("module,name,acronym,expected", CALLEES, ids=CALLEE_IDS)
+    def test_expected_error_is_caught(self, monkeypatch, module, name, acronym, expected):
+        result = self.run_raising(monkeypatch, module, name, acronym, expected)
+        assert result.records  # the run went on to the end
 
 
 class TestDeterminism:
