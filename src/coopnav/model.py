@@ -27,8 +27,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(c: np.ndarray) -> np.ndarray:
-    """Enforce exact symmetry; applied after every covariance-producing op."""
-    return (c + c.T) / 2.0
+    """Enforce exact symmetry; applied after every covariance-producing op.
+
+    A stack (..., n, n) is symmetrized matrix by matrix.
+    """
+    return (c + c.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)

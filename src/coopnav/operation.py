@@ -51,7 +51,8 @@ class LinkInfo:
     c_pk: np.ndarray  # neighbor position covariance (3, 3)
 
     def __post_init__(self):
-        # Private read-only copies, so the derived constants below stay valid.
+        # Private read-only copies, so the constants an AllocationProblem
+        # derives from them stay valid.
         u = _frozen(self.u)
         c = _frozen(self.c_pk)
         if abs(_norm(u) - 1.0) > 1e-9:
@@ -60,27 +61,18 @@ class LinkInfo:
             raise InvalidArgumentError("ranging coefficient must be >= 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c_pk", c)
-        # Derived constants (not fields), used by every allocation objective:
-        # rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
-        # channel quality, and the outer product u u^T. rho is exactly 0 for
-        # anchors (C_pk = 0), where the product gives +-0 and every use
-        # (1 + m rho) the same value.
-        rho = float(self.xi * u @ c @ u) if c.any() else 0.0
-        uu = u[:, None] * u  # elementwise, as np.outer
-        uu.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "uu", uu)
 
 
-def info_intensity(m: float, link: LinkInfo) -> float:
-    """Information intensity of m measurements over a link.
+def info_intensity(m, xi, rho):
+    """Information intensity of m measurements over a link, elementwise.
 
-    c(m) = m xi / (1 + m xi u^T C_pk u); equals m xi for anchors (C_pk = 0).
+    c(m) = m xi / (1 + m rho) with rho = xi u^T C_pk u; equals m xi for
+    anchors (C_pk = 0, rho = 0).
     """
-    if m < 0:
+    m = np.asarray(m, dtype=float)
+    if np.count_nonzero(m < 0):
         raise InvalidArgumentError("measurement count must be >= 0")
-    mx = m * link.xi
-    return mx / (1.0 + m * link.rho)
+    return (m * xi) / (1.0 + m * rho)
 
 
 @dataclass(frozen=True)
@@ -107,6 +99,28 @@ class AllocationProblem:
     def prior_information(self) -> np.ndarray:
         """C_pj^-1, regularized if C_pj is singular but nonzero."""
         return _frozen(_inverse_prior(self.c_pj))
+
+    # Per-link constants in link order, used by every allocation objective.
+    @cached_property
+    def xis(self) -> np.ndarray:
+        return _frozen([l.xi for l in self.links])
+
+    @cached_property
+    def rhos(self) -> np.ndarray:
+        """rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
+        channel quality. Exactly 0 for anchors (C_pk = 0), where the product
+        gives +-0 and every use (1 + m rho) the same value."""
+        return _frozen([float(l.xi * l.u @ l.c_pk @ l.u) if l.c_pk.any() else 0.0
+                        for l in self.links])
+
+    @cached_property
+    def us(self) -> np.ndarray:
+        return _frozen(np.reshape([l.u for l in self.links], (-1, 3)))
+
+    @cached_property
+    def uus(self) -> np.ndarray:
+        """The outer products u u^T, (n, 3, 3)."""
+        return _frozen(self.us[:, :, None] * self.us[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -146,14 +160,25 @@ def _inverse_prior(c_pj: np.ndarray) -> np.ndarray:
 def predicted_covariance(problem: AllocationProblem, m) -> np.ndarray:
     """Position covariance predicted after performing the allocation m.
 
-    C(m) = [C_pj^-1 + sum_k c_k(m_k) u_k u_k^T]^-1.
+    C(m) = [C_pj^-1 + sum_k c_k(m_k) u_k u_k^T]^-1, with the terms added to
+    the prior in link order. m is one allocation (n,), giving (3, 3), or a
+    stack of them (K, n), giving (K, 3, 3); each stacked result equals the
+    result for its row alone, bit for bit.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (len(problem.links),):
-        raise InvalidArgumentError("allocation length must match number of links")
-    j = problem.prior_information
-    for mk, link in zip(m.tolist(), problem.links):
-        j = j + info_intensity(mk, link) * link.uu
+    n = len(problem.links)
+    if m.ndim not in (1, 2) or m.shape[-1] != n:
+        raise InvalidArgumentError("allocation must be (n,) or (K, n) for n links")
+    c = info_intensity(m, problem.xis, problem.rhos)
+    lead = m.shape[:-1]
+    # The prior, then one term per link, with the link axis first: a
+    # reduction over the leading axis of a C-ordered array adds whole slices
+    # one after another, the sequential sum.
+    j = np.empty((n + 1,) + lead + (3, 3))
+    j[0] = problem.prior_information
+    uus = problem.uus if not lead else problem.uus[:, None]
+    np.multiply(c.T[..., None, None], uus, out=j[1:])
+    j = np.add.reduce(j, axis=0)
     try:
         out = np.linalg.inv(j)
     except np.linalg.LinAlgError:
@@ -225,15 +250,11 @@ def _project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
 
 def _objective_and_gradient(problem: AllocationProblem, m: np.ndarray):
     c = predicted_covariance(problem, m)
-    obj = float(c.trace())
-    grad = np.empty(len(problem.links))
-    for i, link in enumerate(problem.links):
-        # d tr(C)/dm_i = -c'(m_i) * u^T C^2 u
-        denom = 1.0 + m[i] * link.rho
-        dci = link.xi / (denom * denom)
-        cu = c @ link.u
-        grad[i] = -dci * float(cu @ cu)
-    return obj, grad
+    # d tr(C)/dm_i = -c'(m_i) * u_i^T C^2 u_i
+    denom = 1.0 + m * problem.rhos
+    dci = problem.xis / (denom * denom)
+    cu = np.matmul(c, problem.us[:, :, None])[:, :, 0]  # C u_i, one matvec per link
+    return float(c.trace()), -dci * np.vecdot(cu, cu)
 
 
 def _pg_solve(problem: AllocationProblem, warm_start):
@@ -282,44 +303,51 @@ def _round_largest_remainder(m: np.ndarray, budget: int) -> np.ndarray:
     return base
 
 
+def _traces(problem: AllocationProblem, stack: np.ndarray) -> np.ndarray:
+    return np.trace(predicted_covariance(problem, stack), axis1=1, axis2=2)
+
+
 def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
-    """Improve m by single-unit moves; returns (m, its objective)."""
+    """Improve m by single-unit moves; returns (m, its objective).
+
+    Each step scores its candidate moves as one stack, then takes the move
+    that a scan of the candidates one at a time would take.
+    """
     m = m.copy()
     n = len(m)
-
-    def obj(v):
-        return float(predicted_covariance(problem, v).trace())
-
-    current = obj(m)
+    current = float(predicted_covariance(problem, m).trace())
     # Fill any remaining budget with the best single units.
     while m.sum() < problem.budget:
         best, best_obj = None, current
-        for i in range(n):
-            m[i] += 1
-            o = obj(m)
-            m[i] -= 1
+        for i, o in enumerate(_traces(problem, m + np.eye(n, dtype=m.dtype)).tolist()):
             if o < best_obj - 1e-15:
                 best, best_obj = i, o
         if best is None:
             break
         m[best] += 1
         current = best_obj
-    # Single-unit exchanges that strictly improve, repeated to a fixed point.
+    # Single-unit exchanges (one unit from link a to link b) that strictly
+    # improve, in (a, b) scan order, repeated to a fixed point. After a move
+    # is taken, the scan goes on from the next pair at the new m.
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))  # the pairs a != b, in scan order
     for _ in range(25):
         changed = False
-        for a in range(n):
-            for b in range(n):
-                if a == b or m[a] == 0:
-                    continue
-                m[a] -= 1
-                m[b] += 1
-                o = obj(m)
-                if o < current - 1e-15:
-                    current = o
-                    changed = True
-                else:
-                    m[a] += 1
-                    m[b] -= 1
+        start = 0
+        while True:
+            pairs = start + np.flatnonzero(m[src[start:]] > 0)
+            if not pairs.size:
+                break
+            rows = np.arange(pairs.size)
+            cand = np.repeat(m[None], pairs.size, axis=0)
+            cand[rows, src[pairs]] -= 1
+            cand[rows, dst[pairs]] += 1
+            objs = _traces(problem, cand)
+            better = np.flatnonzero(objs < current - 1e-15)
+            if not better.size:
+                break
+            first = better[0]
+            m, current, changed = cand[first], float(objs[first]), True
+            start = pairs[first] + 1
         if not changed:
             break
     return m, current

@@ -39,6 +39,14 @@ class TestGaussianBelief:
         b = GaussianBelief(np.zeros(STATE_DIM), cov)
         assert np.array_equal(b.covariance, b.covariance.T)
 
+    def test_symmetrize_stack_is_per_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 3, 3))
+        got = symmetrize(stack)
+        for row, c in zip(got, stack):
+            assert np.array_equal(row, symmetrize(c))
+            assert np.array_equal(row, row.T)
+
     def test_arrays_read_only(self):
         b = GaussianBelief(np.zeros(STATE_DIM), np.eye(STATE_DIM))
         with pytest.raises(ValueError):

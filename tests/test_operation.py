@@ -1,7 +1,8 @@
 """Tests for activation / allocation mathematics.
 
 Oracles: mpmath high-precision matrix inversion for the predicted covariance,
-and exhaustive enumeration for integer allocations.
+exhaustive enumeration for integer allocations, and the one-allocation-at-a-
+time forms of the batched solver steps, which it must match bit for bit.
 """
 
 import mpmath
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coopnav import operation
 from coopnav.errors import DegenerateGeometryError, InvalidArgumentError
 from coopnav.model import MotionModel, symmetrize
 from coopnav.operation import (
@@ -58,6 +60,84 @@ def reduction(problem, m):
     return float(problem.c_pj.trace() - predicted_covariance(problem, m).trace())
 
 
+def link_rho(link):
+    """rho = xi u^T C_pk u of one link, exactly 0 for an anchor."""
+    return float(link.xi * link.u @ link.c_pk @ link.u) if link.c_pk.any() else 0.0
+
+
+def scalar_covariance(problem, m):
+    """Oracle: the predicted covariance of one allocation, adding one link
+    term at a time to the prior information."""
+    j = problem.prior_information
+    for mk, link in zip(np.asarray(m, dtype=float).tolist(), problem.links):
+        c = mk * link.xi / (1.0 + mk * link_rho(link))
+        j = j + c * (link.u[:, None] * link.u)
+    return symmetrize(np.linalg.inv(j))
+
+
+def scalar_objective_and_gradient(problem, m):
+    """Oracle: the relaxation's objective and its gradient, link by link."""
+    c = scalar_covariance(problem, m)
+    grad = np.empty(len(problem.links))
+    for i, link in enumerate(problem.links):
+        # d tr(C)/dm_i = -c'(m_i) * u^T C^2 u
+        denom = 1.0 + m[i] * link_rho(link)
+        dci = link.xi / (denom * denom)
+        cu = c @ link.u
+        grad[i] = -dci * float(cu @ cu)
+    return float(c.trace()), grad
+
+
+def scalar_greedy_polish(problem, m):
+    """Oracle: the greedy single-unit polish, one candidate at a time."""
+    m = m.copy()
+    n = len(m)
+
+    def obj(v):
+        return float(scalar_covariance(problem, v).trace())
+
+    current = obj(m)
+    while m.sum() < problem.budget:
+        best, best_obj = None, current
+        for i in range(n):
+            m[i] += 1
+            o = obj(m)
+            m[i] -= 1
+            if o < best_obj - 1e-15:
+                best, best_obj = i, o
+        if best is None:
+            break
+        m[best] += 1
+        current = best_obj
+    for _ in range(25):
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if a == b or m[a] == 0:
+                    continue
+                m[a] -= 1
+                m[b] += 1
+                o = obj(m)
+                if o < current - 1e-15:
+                    current = o
+                    changed = True
+                else:
+                    m[a] += 1
+                    m[b] -= 1
+        if not changed:
+            break
+    return m, current
+
+
+def scalar_allocate(problem, warm_start=None):
+    """Oracle: cpnp_allocate with every batched step in its scalar form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operation, "predicted_covariance", scalar_covariance)
+        mp.setattr(operation, "_objective_and_gradient", scalar_objective_and_gradient)
+        mp.setattr(operation, "_greedy_polish", scalar_greedy_polish)
+        return cpnp_allocate(problem, warm_start=warm_start)
+
+
 class TestDirections:
     def test_unit_direction(self):
         u = unit_direction([0, 0, 0], [3, 0, 4])
@@ -72,23 +152,46 @@ class TestDirections:
             LinkInfo(0, np.array([1.0, 1.0, 0.0]), 50.0, np.zeros((3, 3)))
 
 
+def link_constants(link):
+    """(xi, rho) of one link, as the allocation problem derives them."""
+    problem = AllocationProblem(np.eye(3), (link,), 0)
+    return problem.xis[0], problem.rhos[0]
+
+
 class TestInfoIntensity:
     def test_anchor_is_linear_in_count(self):
         link = LinkInfo(0, np.array([1.0, 0, 0]), 80.0, np.zeros((3, 3)))
-        assert info_intensity(4, link) == pytest.approx(320.0)
-        assert info_intensity(0, link) == 0.0
+        assert info_intensity(4, *link_constants(link)) == pytest.approx(320.0)
+        assert info_intensity(0, *link_constants(link)) == 0.0
 
     def test_uncertain_neighbor_saturates(self):
         c = 0.5 * np.eye(3)
         link = LinkInfo(0, np.array([1.0, 0, 0]), 80.0, c)
         # c(m) = m xi / (1 + m xi u^T C u) -> 1 / (u^T C u) as m -> inf
-        assert info_intensity(1e9, link) == pytest.approx(1 / 0.5, rel=1e-6)
+        assert info_intensity(1e9, *link_constants(link)) == pytest.approx(1 / 0.5, rel=1e-6)
 
     @given(st.floats(0.0, 50.0), st.floats(16.0, 100.0), st.floats(0.0, 2.0))
     @settings(max_examples=300)
     def test_monotone_nondecreasing_in_count(self, m, xi, cvar):
         link = LinkInfo(0, np.array([0.0, 1.0, 0.0]), xi, cvar * np.eye(3))
-        assert info_intensity(m + 0.5, link) >= info_intensity(m, link) - 1e-12
+        xi, rho = link_constants(link)
+        assert info_intensity(m + 0.5, xi, rho) >= info_intensity(m, xi, rho) - 1e-12
+
+    def test_elementwise_on_arrays(self):
+        rng = np.random.default_rng(20)
+        links = random_links(rng, 5)
+        problem = AllocationProblem(np.eye(3), links, 0)
+        m = rng.uniform(0, 6, size=(4, 5))
+        got = info_intensity(m, problem.xis, problem.rhos)
+        for k in range(4):
+            for i, link in enumerate(links):
+                assert got[k, i] == info_intensity(m[k, i], *link_constants(link))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            info_intensity(-1, 50.0, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            info_intensity(np.array([[2.0, 0.0], [1.0, -0.5]]), 50.0, 0.0)
 
 
 class TestPredictedCovariance:
@@ -105,8 +208,8 @@ class TestPredictedCovariance:
 
             with mpmath.workdps(50):
                 j = mpmath.matrix(c_pj.tolist()) ** -1
-                for mk, link in zip(m, links):
-                    c = info_intensity(float(mk), link)
+                cs = info_intensity(m, problem.xis, problem.rhos)
+                for c, link in zip(cs.tolist(), links):
                     u = mpmath.matrix(link.u.tolist())
                     j += c * (u * u.T)
                 want = np.array((j**-1).tolist(), dtype=float)
@@ -115,14 +218,16 @@ class TestPredictedCovariance:
     def test_matches_defining_formula_bit_for_bit(self):
         # Reference: the defining sum evaluated afresh, with rho and u u^T
         # recomputed from the link every time, and the prior information
-        # cached on the problem reused across allocations.
+        # cached on the problem reused across allocations. Every row of a
+        # stacked call equals the call on that row alone.
         rng = np.random.default_rng(12)
         for _ in range(40):
             n = int(rng.integers(1, 6))
             links = random_links(rng, n)
             problem = AllocationProblem(random_cov(rng), links, 20)
             allocations = [rng.integers(0, 6, size=n).astype(float) for _ in range(3)]
-            for m in allocations:
+            stacked = predicted_covariance(problem, np.array(allocations))
+            for m, row in zip(allocations, stacked):
                 j = np.linalg.inv(problem.c_pj)
                 for mk, link in zip(m, links):
                     rho = float(link.xi * link.u @ link.c_pk @ link.u)
@@ -130,6 +235,57 @@ class TestPredictedCovariance:
                     j = j + c * np.outer(link.u, link.u)
                 want = symmetrize(np.linalg.inv(j))
                 assert np.array_equal(predicted_covariance(problem, m), want)
+                assert np.array_equal(row, want)
+
+    def test_one_allocation_and_stack_shapes(self):
+        rng = np.random.default_rng(21)
+        problem = AllocationProblem(random_cov(rng), random_links(rng, 4), 20)
+        one = predicted_covariance(problem, [1, 0, 2, 3])
+        assert one.shape == (3, 3)
+        assert np.array_equal(one, one.T)
+        stack = rng.integers(0, 6, size=(7, 4))
+        got = predicted_covariance(problem, stack)
+        assert got.shape == (7, 3, 3)
+        assert np.array_equal(got, got.swapaxes(1, 2))
+        for row, m in zip(got, stack):
+            assert np.array_equal(row, predicted_covariance(problem, m))
+        # One stacked allocation is the (1, 3, 3) stack of its result.
+        assert np.array_equal(predicted_covariance(problem, stack[:1]), got[:1])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [1.0, -1.0, 0.0],  # a negative count
+            [[1.0, 0.0, 2.0], [0.0, 3.0, -0.5]],  # one in a stack
+            [1.0, 2.0],  # too few links
+            [[1.0, 2.0, 3.0, 4.0]],  # too many links in a stack
+            [[[1.0, 2.0, 3.0]]],  # ndim > 2
+            2.0,  # a scalar
+        ],
+    )
+    def test_invalid_allocation_rejected(self, m):
+        rng = np.random.default_rng(22)
+        problem = AllocationProblem(random_cov(rng), random_links(rng, 3), 20)
+        with pytest.raises(InvalidArgumentError):
+            predicted_covariance(problem, m)
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        # More links than the stacks in the solver ever hold, fractional
+        # counts as in the relaxation, and the gradient built on them.
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            problem = AllocationProblem(random_cov(rng), random_links(rng, n), 20)
+            stack = rng.uniform(0, 8, size=(int(rng.integers(1, 10)), n))
+            stacked = predicted_covariance(problem, stack)
+            for m, row in zip(stack, stacked):
+                want = scalar_covariance(problem, m)
+                assert np.array_equal(row, want)
+                assert np.array_equal(predicted_covariance(problem, m), want)
+                obj, grad = operation._objective_and_gradient(problem, m)
+                want_obj, want_grad = scalar_objective_and_gradient(problem, m)
+                assert obj == want_obj
+                assert np.array_equal(grad, want_grad)
 
     def test_zero_allocation_returns_prior(self):
         rng = np.random.default_rng(11)
@@ -306,6 +462,42 @@ class TestAllocation:
         cold = cpnp_allocate(problem)
         warm = cpnp_allocate(problem, warm_start=np.asarray(cold.relaxed_m))
         assert warm.objective <= cold.objective + 1e-9
+
+    def test_matches_scalar_solver_bit_for_bit(self):
+        # Seeded random problems: anchor and agent links, budgets from 0,
+        # cold and warm starts; every field equals the scalar oracle's.
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            budget = int(rng.integers(0, 15))
+            problem = AllocationProblem(
+                random_cov(rng, float(10.0 ** rng.uniform(-2, 1))),
+                random_links(rng, n),
+                budget,
+            )
+            warm = rng.uniform(0, budget + 1, size=n) if rng.random() < 0.5 else None
+            got = cpnp_allocate(problem, warm_start=warm)
+            want = scalar_allocate(problem, warm_start=warm)
+            assert np.array_equal(got.m, want.m) and got.m.dtype == want.m.dtype
+            assert got.objective == want.objective
+            assert np.array_equal(got.relaxed_m, want.relaxed_m)
+            assert got.relaxed_objective == want.relaxed_objective
+            assert got.converged == want.converged
+            assert got.fallback == want.fallback
+
+    def test_polish_matches_scalar_oracle_from_any_start(self):
+        # Starts far from the rounded relaxation, so that the fill step and
+        # long chains of exchanges both run.
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            budget = int(rng.integers(0, 15))
+            problem = AllocationProblem(random_cov(rng), random_links(rng, n), budget)
+            m = np.zeros(n, dtype=int)
+            m[int(rng.integers(n))] = int(rng.integers(0, budget + 1))
+            got_m, got_obj = operation._greedy_polish(problem, m)
+            want_m, want_obj = scalar_greedy_polish(problem, m)
+            assert np.array_equal(got_m, want_m) and got_obj == want_obj
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
