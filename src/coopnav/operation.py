@@ -110,8 +110,8 @@ class AllocationProblem:
         """rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
         channel quality. Exactly 0 for anchors (C_pk = 0), where the product
         gives +-0 and every use (1 + m rho) the same value."""
-        return _frozen([float(l.xi * l.u @ l.c_pk @ l.u) if l.c_pk.any() else 0.0
-                        for l in self.links])
+        return _frozen([l.xi * l.u @ l.c_pk @ l.u if l.c_pk.any() else 0.0
+                         for l in self.links])
 
     @cached_property
     def us(self) -> np.ndarray:

@@ -187,12 +187,6 @@ class TestInfoIntensity:
             for i, link in enumerate(links):
                 assert got[k, i] == info_intensity(m[k, i], *link_constants(link))
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            info_intensity(-1, 50.0, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            info_intensity(np.array([[2.0, 0.0], [1.0, -0.5]]), 50.0, 0.0)
-
 
 class TestPredictedCovariance:
     def test_matches_quad_precision_inverse(self):
@@ -236,21 +230,6 @@ class TestPredictedCovariance:
                 want = symmetrize(np.linalg.inv(j))
                 assert np.array_equal(predicted_covariance(problem, m), want)
                 assert np.array_equal(row, want)
-
-    def test_one_allocation_and_stack_shapes(self):
-        rng = np.random.default_rng(21)
-        problem = AllocationProblem(random_cov(rng), random_links(rng, 4), 20)
-        one = predicted_covariance(problem, [1, 0, 2, 3])
-        assert one.shape == (3, 3)
-        assert np.array_equal(one, one.T)
-        stack = rng.integers(0, 6, size=(7, 4))
-        got = predicted_covariance(problem, stack)
-        assert got.shape == (7, 3, 3)
-        assert np.array_equal(got, got.swapaxes(1, 2))
-        for row, m in zip(got, stack):
-            assert np.array_equal(row, predicted_covariance(problem, m))
-        # One stacked allocation is the (1, 3, 3) stack of its result.
-        assert np.array_equal(predicted_covariance(problem, stack[:1]), got[:1])
 
     @pytest.mark.parametrize(
         "m",
