@@ -7,11 +7,13 @@ and dangling node references raise ConfigError naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .protocol import MAX_CLOCK_DRIFT_PPM
 
 INFERENCE_KINDS = ("LS", "SPBP")
 ACTIVATION_KINDS = ("ALOHA", "CSMA", "HTNA")
@@ -112,17 +114,59 @@ class ScenarioConfig:
         )
 
 
-def _require_keys(d: dict, allowed: set, where: str) -> None:
+# Rules on numbers: (predicate, what the number must be).
+_NONNEGATIVE = (lambda x: x >= 0, ">= 0")
+_POSITIVE = (lambda x: x > 0, "> 0")
+
+# The rule of every numeric parameter. A value outside it means nothing: a
+# run hangs (a period <= 0 never advances the clock), crashes, or misreads it.
+_PARAMETER_RULES = {
+    "budget": _NONNEGATIVE,
+    "epoch_period_s": _POSITIVE,
+    "epoch_jitter": (lambda x: 0 <= x < 1, "in [0, 1)"),  # keeps every period > 0
+    "t_m_s": _NONNEGATIVE,
+    "msg_air_s": _POSITIVE,
+    "chirp_mean_interval_s": _POSITIVE,
+    "los_sigma_m": _NONNEGATIVE,
+    "erc_noise_sigma": _NONNEGATIVE,
+    "clock_drift_ppm": (lambda x: 0 <= x <= MAX_CLOCK_DRIFT_PPM,
+                        f"in [0, {MAX_CLOCK_DRIFT_PPM:g}]"),
+    "clock_offset_max_s": _NONNEGATIVE,
+    "metrics_burn_in_s": _NONNEGATIVE,
+}
+
+
+def _require_keys(d, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _list(v, where: str):
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {v!r}")
+    return v
+
+
+def _number(v, where: str, rule=None, integer: bool = False):
+    """A finite JSON number as a float (an int if `integer`) that satisfies
+    `rule`; anything else, booleans and strings included, is a ConfigError
+    naming `where`."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not math.isfinite(v))):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    if integer and v != int(v):
+        raise ConfigError(f"{where} must be an integer, got {v!r}")
+    out = int(v) if integer else float(v)
+    if rule is not None and not rule[0](out):
+        raise ConfigError(f"{where} must be {rule[1]}, got {v!r}")
+    return out
+
+
 def _vec(v, n, where) -> tuple:
-    try:
-        out = tuple(float(x) for x in v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a numeric {n}-vector") from None
+    out = tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where)))
     if len(out) != n:
         raise ConfigError(f"{where} must have {n} components, got {len(out)}")
     return out
@@ -130,10 +174,10 @@ def _vec(v, n, where) -> tuple:
 
 def _pairs(v, where) -> tuple:
     out = []
-    for i, pair in enumerate(v):
-        if len(pair) != 2:
+    for i, pair in enumerate(_list(v, where)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"{where}[{i}] must be a pair of node ids")
-        a, b = int(pair[0]), int(pair[1])
+        a, b = (_number(x, f"{where}[{i}]", integer=True) for x in pair)
         if a == b:
             raise ConfigError(f"{where}[{i}] pairs node {a} with itself")
         out.append((a, b))
@@ -145,7 +189,11 @@ def _parse_anchor(d: dict, idx: int) -> AnchorSpec:
     _require_keys(d, {"id", "position", "label"}, where)
     if "id" not in d or "position" not in d:
         raise ConfigError(f"{where} requires 'id' and 'position'")
-    return AnchorSpec(int(d["id"]), _vec(d["position"], 3, f"{where}.position"), d.get("label"))
+    return AnchorSpec(
+        _number(d["id"], f"{where}.id", integer=True),
+        _vec(d["position"], 3, f"{where}.position"),
+        d.get("label"),
+    )
 
 
 def _parse_waypoint(d: dict, where: str) -> Waypoint:
@@ -154,8 +202,8 @@ def _parse_waypoint(d: dict, where: str) -> Waypoint:
         raise ConfigError(f"{where} requires 'position' and 'arrival_s'")
     return Waypoint(
         _vec(d["position"], 3, f"{where}.position"),
-        float(d["arrival_s"]),
-        float(d.get("dwell_s", 0.0)),
+        _number(d["arrival_s"], f"{where}.arrival_s", _NONNEGATIVE),
+        _number(d.get("dwell_s", 0.0), f"{where}.dwell_s", _NONNEGATIVE),
     )
 
 
@@ -171,19 +219,23 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
         raise ConfigError(f"{where} requires 'id' and 'initial_position'")
     traj = tuple(
         _parse_waypoint(w, f"{where}.trajectory[{i}]")
-        for i, w in enumerate(d.get("trajectory", []))
+        for i, w in enumerate(_list(d.get("trajectory", []), f"{where}.trajectory"))
     )
     times = [w.arrival_s for w in traj]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError(f"{where}.trajectory arrival times must be strictly increasing")
     belief_mean = d.get("belief_mean")
+    pos_sigma, vel_sigma = (
+        None if d.get(key) is None else _number(d[key], f"{where}.{key}", _NONNEGATIVE)
+        for key in ("pos_sigma", "vel_sigma")
+    )
     return AgentSpec(
-        id=int(d["id"]),
+        id=_number(d["id"], f"{where}.id", integer=True),
         initial_position=_vec(d["initial_position"], 3, f"{where}.initial_position"),
         trajectory=traj,
         belief_mean=None if belief_mean is None else _vec(belief_mean, 6, f"{where}.belief_mean"),
-        pos_sigma=None if d.get("pos_sigma") is None else float(d["pos_sigma"]),
-        vel_sigma=None if d.get("vel_sigma") is None else float(d["vel_sigma"]),
+        pos_sigma=pos_sigma,
+        vel_sigma=vel_sigma,
         label=d.get("label"),
     )
 
@@ -203,11 +255,13 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     )
     if "name" not in d or "duration_s" not in d:
         raise ConfigError("scenario requires 'name' and 'duration_s'")
-    duration = float(d["duration_s"])
-    if duration < 0:
-        raise ConfigError("duration_s must be >= 0")
-    anchors = tuple(_parse_anchor(a, i) for i, a in enumerate(d.get("anchors", [])))
-    agents = tuple(_parse_agent(a, i) for i, a in enumerate(d.get("agents", [])))
+    duration = _number(d["duration_s"], "duration_s", _NONNEGATIVE)
+    anchors = tuple(
+        _parse_anchor(a, i) for i, a in enumerate(_list(d.get("anchors", []), "anchors"))
+    )
+    agents = tuple(
+        _parse_agent(a, i) for i, a in enumerate(_list(d.get("agents", []), "agents"))
+    )
     ids = [a.id for a in anchors] + [a.id for a in agents]
     if len(set(ids)) != len(ids):
         raise ConfigError("node ids must be unique across anchors and agents")
@@ -217,10 +271,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         lt, {"comm_range_m", "nlos_pairs", "blocked_pairs", "nlos_cross_z"}, "link_truth"
     )
     link_truth = LinkTruthConfig(
-        comm_range_m=float(lt.get("comm_range_m", 60.0)),
+        comm_range_m=_number(lt.get("comm_range_m", 60.0), "link_truth.comm_range_m",
+                             _NONNEGATIVE),
         nlos_pairs=_pairs(lt.get("nlos_pairs", []), "link_truth.nlos_pairs"),
         blocked_pairs=_pairs(lt.get("blocked_pairs", []), "link_truth.blocked_pairs"),
-        nlos_cross_z=None if lt.get("nlos_cross_z") is None else float(lt["nlos_cross_z"]),
+        nlos_cross_z=(None if lt.get("nlos_cross_z") is None
+                      else _number(lt["nlos_cross_z"], "link_truth.nlos_cross_z")),
     )
     known = set(ids)
     for label, pairs in (
@@ -250,19 +306,20 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     _require_keys(par, par_fields, "parameters")
     kwargs = {}
     for key, value in par.items():
+        where = f"parameters.{key}"
         default = getattr(Parameters(), key)
         if isinstance(default, bool):
-            kwargs[key] = bool(value)
-        elif isinstance(default, int):
-            kwargs[key] = int(value)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where} must be true or false, got {value!r}")
+            kwargs[key] = value
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _number(value, where, _PARAMETER_RULES[key], isinstance(default, int))
     parameters = Parameters(**kwargs)
 
     return ScenarioConfig(
         name=str(d["name"]),
         duration_s=duration,
-        seed=int(d.get("seed", 0)),
+        seed=_number(d.get("seed", 0), "seed", _NONNEGATIVE, integer=True),
         anchors=anchors,
         agents=agents,
         link_truth=link_truth,

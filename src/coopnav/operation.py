@@ -203,26 +203,18 @@ def trace_increase(covariances, model: MotionModel, dt: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ActivationInputs:
-    """Inputs to the activation decision for one agent at one epoch."""
-
-    proposal: AllocationResult
-    covariances: tuple  # own + non-anchor neighbor full-state covariances
-    motion: MotionModel
-    dt_s: float  # assumed channel access time for the proposal
-
-
-def htna_decide(inputs: ActivationInputs, problem: AllocationProblem) -> bool:
+def htna_decide(problem: AllocationProblem, proposal: AllocationResult, covariances,
+                motion: MotionModel, dt_s: float) -> bool:
     """Activate iff the own trace reduction exceeds the subnetwork trace increase.
 
     The proposal must be an allocation for `problem`: its objective, the
     predicted covariance trace, gives the reduction tr(C_pj) - objective
-    without evaluating predicted_covariance again.
+    without evaluating predicted_covariance again. `covariances` are the own
+    and the non-anchor neighbor full-state covariances, and `dt_s` the
+    assumed channel access time for the proposal.
     """
-    reduction = float(problem.c_pj.trace() - inputs.proposal.objective)
-    increase = trace_increase(inputs.covariances, inputs.motion, inputs.dt_s)
-    return reduction > increase
+    reduction = float(problem.c_pj.trace() - proposal.objective)
+    return reduction > trace_increase(covariances, motion, dt_s)
 
 
 # --- allocation solvers ------------------------------------------------------

@@ -72,7 +72,6 @@ class Message:
     rx_ts: float | None = None  # local-clock ticks at the receiver
     payload: StateSummary | None = None
     data: dict = field(default_factory=dict)
-    session_id: int = 0
 
 
 def twr_range(t1, t2, t3, t4, t5, t6) -> float:
@@ -128,7 +127,6 @@ class RangeReady:
 class RangingSession:
     initiator: object
     responder: object
-    session_id: int = 0
     phase: Phase = Phase.IDLE
     t1: float | None = None
     t2: float | None = None
@@ -136,6 +134,9 @@ class RangingSession:
     t4: float | None = None
     t5: float | None = None
     t6: float | None = None
+    # Simulation time at which the session fails unless its partner replies;
+    # each send that awaits a reply moves it.
+    deadline: float | None = None
 
     def record_tx(self, slot: str, ts: float) -> None:
         setattr(self, slot, ts)
@@ -157,14 +158,7 @@ def begin_ranging(session: RangingSession) -> list:
     if session.phase is not Phase.IDLE:
         raise InvalidArgumentError("session already started")
     session.phase = Phase.AWAITING_RESP
-    return [
-        SendMessage(
-            MsgKind.RANGING_INIT,
-            session.responder,
-            data={"session_id": session.session_id},
-            ts_slot="t1",
-        )
-    ]
+    return [SendMessage(MsgKind.RANGING_INIT, session.responder, ts_slot="t1")]
 
 
 def ranging_fsm_step(session: RangingSession, event, node) -> tuple[RangingSession, list]:
@@ -306,6 +300,8 @@ def erc_estimate(nlos: bool, gain: float = 1.0) -> float:
 
 # --- clocks ------------------------------------------------------------------
 
+MAX_CLOCK_DRIFT_PPM = 100.0
+
 
 @dataclass(frozen=True, slots=True)
 class ClockModel:
@@ -315,8 +311,8 @@ class ClockModel:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
-        if abs(self.drift_ppm) > 100.0:
-            raise InvalidArgumentError("clock drift limited to 100 ppm")
+        if abs(self.drift_ppm) > MAX_CLOCK_DRIFT_PPM:
+            raise InvalidArgumentError(f"clock drift limited to {MAX_CLOCK_DRIFT_PPM:g} ppm")
 
     def ticks(self, t: float) -> float:
         return (t * (1.0 + self.drift_ppm * 1e-6) + self.offset) / DEFAULT_TICK_S

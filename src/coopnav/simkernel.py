@@ -255,7 +255,6 @@ class _Node:
         self.ls_est = None  # LS agents track a bare position estimate
         self.table = NeighborTable()
         self.session: RangingSession | None = None
-        self.timeout_gen = 0
         # epoch bookkeeping (agents only)
         self.period = 0.0
         self.last_epoch_time = 0.0
@@ -264,7 +263,6 @@ class _Node:
         self.activated = False
         self.csma_attempt = 0
         self.exchange_queue: deque = deque()
-        self.current_peer = None
         self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
         self.pos_memo = None
         self.collected: dict = {}
@@ -304,7 +302,6 @@ class Simulation:
             "subnet_violations": 0,
             "failed_exchanges": 0,
         }
-        self._session_ids = itertools.count(1)
         self._link_excess: dict = {}
         self._holding: set = set()
         # Carrier sense: node id -> busy callback of its open sense window. The
@@ -465,34 +462,21 @@ class Simulation:
             if msg.dst == node.nid:  # chirps are broadcast (dst None)
                 self._receive(node, tx, dist)
 
-    def _prop_excess(self, a: int, b: int) -> float:
-        return self._link_excess.get(link_key(a, b), 0.0)
-
     def _receive(self, node: _Node, tx: Transmission, dist: float):
-        """A unicast frame addressed to `node` arrived intact."""
+        """A unicast frame addressed to `node` arrived intact. Only the
+        addressee reads the receive timestamp, so it is stamped in place."""
         msg = tx.msg
-        excess = self._prop_excess(node.nid, tx.src)
-        rx_phys = tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT
-        rx_msg = Message(
-            kind=msg.kind, src=msg.src, dst=msg.dst, tx_ts=msg.tx_ts,
-            rx_ts=node.clock.ticks(rx_phys), payload=msg.payload,
-            data=dict(msg.data), session_id=msg.session_id,
-        )
-        if node.session is not None:
-            session, actions = ranging_fsm_step(node.session, rx_msg, node.nid)
-            self._process_fsm_actions(node, actions)
-            if session.phase in (Phase.DONE, Phase.FAILED) and not actions:
-                node.session = None
-            return
-        if rx_msg.kind is MsgKind.RANGING_INIT and not node.busy_for_ranging():
-            session = RangingSession(
-                initiator=rx_msg.src, responder=node.nid,
-                session_id=rx_msg.data.get("session_id", 0),
-            )
-            node.session = session
-            _, actions = ranging_fsm_step(session, rx_msg, node.nid)
-            self._process_fsm_actions(node, actions)
-            node.timeout_gen += 1  # disarm the last session's timer; the reply arms one
+        excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
+        msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
+        session = node.session
+        if session is None:
+            if msg.kind is not MsgKind.RANGING_INIT or node.in_hold:
+                return
+            session = node.session = RangingSession(initiator=msg.src, responder=node.nid)
+        _, actions = ranging_fsm_step(session, msg, node.nid)
+        self._process_fsm_actions(node, actions)
+        if session.phase in (Phase.DONE, Phase.FAILED) and not actions:
+            node.session = None
 
     def _process_fsm_actions(self, node: _Node, actions):
         for action in actions:
@@ -508,45 +492,40 @@ class Simulation:
         session = node.session
         if session is None:
             return
+        data = action.data
         if action.kind is MsgKind.RANGING_REPORT:
             # Ranging noise is applied once, at the responder's computation,
             # so both parties share the identical measured value.
-            value = action.data["range"] + float(self.rng.normal(0.0, self.par.los_sigma_m))
-            action = SendMessage(action.kind, action.dst, {"range": value}, None)
+            data = {"range": data["range"] + float(self.rng.normal(0.0, self.par.los_sigma_m))}
         msg = Message(
             kind=action.kind, src=node.nid, dst=action.dst,
-            payload=self._state_summary(node), data=dict(action.data),
-            session_id=session.session_id,
+            payload=self._state_summary(node), data=data,
         )
-        tx = self._transmit(node, msg, self.par.msg_air_s)
+        self._transmit(node, msg, self.par.msg_air_s)
         if action.ts_slot is not None:
             session.record_tx(action.ts_slot, msg.tx_ts)
         if action.kind is not MsgKind.RANGING_REPORT:
-            self._arm_timeout(node)
+            self._arm_timeout(node, session)
         elif session.phase is Phase.DONE:
             node.session = None
 
-    def _arm_timeout(self, node: _Node):
-        node.timeout_gen += 1
-        gen = node.timeout_gen
-        self._schedule(
-            self.now + protocol.RANGING_TIMEOUT_S,
-            lambda n=node, g=gen: self._session_timeout(n, g),
-        )
+    def _arm_timeout(self, node: _Node, session: RangingSession):
+        """Fail `session` RANGING_TIMEOUT_S from now; a later send of it re-arms."""
+        deadline = session.deadline = self.now + protocol.RANGING_TIMEOUT_S
+        self._schedule(deadline, lambda: self._session_timeout(node, session, deadline))
 
-    def _session_timeout(self, node: _Node, gen: int):
-        if node.timeout_gen != gen or node.session is None or not node.session.active:
+    def _session_timeout(self, node: _Node, session: RangingSession, deadline: float):
+        # A no-op once the session ended, was replaced, or was re-armed.
+        if node.session is not session or not session.active or session.deadline != deadline:
             return
-        ranging_fsm_step(node.session, TIMEOUT, node.nid)
+        ranging_fsm_step(session, TIMEOUT, node.nid)
         node.session = None
         self.counters["failed_exchanges"] += 1
         if node.in_hold:
             # drop remaining repeats with the unresponsive neighbor
-            failed = node.current_peer
-            if failed is not None:
-                node.exchange_queue = deque(
-                    x for x in node.exchange_queue if x != failed
-                )
+            node.exchange_queue = deque(
+                x for x in node.exchange_queue if x != session.responder
+            )
             self._schedule(
                 self.now + protocol.EXCHANGE_GAP_S,
                 lambda n=node: self._next_exchange(n),
@@ -586,7 +565,6 @@ class Simulation:
         agent.csma_attempt = 0
         agent.collected = {}
         agent.exchange_queue = deque()
-        agent.current_peer = None
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
         agent.table.purge(t0, protocol.NEIGHBOR_EXPIRY_S)
@@ -705,8 +683,7 @@ class Simulation:
         for nid in agent.table.neighbors():
             if not self.nodes[nid].is_anchor:
                 covs.append(agent.table.entries[nid].cov)
-        inputs = operation.ActivationInputs(result, tuple(covs), self.motion, dt_j)
-        if operation.htna_decide(inputs, agent.problem):
+        if operation.htna_decide(agent.problem, result, covs, self.motion, dt_j):
             self._begin_hold(agent)
         else:
             self._finalize(agent)
@@ -737,7 +714,6 @@ class Simulation:
             self._finalize(agent)
             return
         nbr = agent.exchange_queue.popleft()
-        agent.current_peer = nbr
         pair = link_key(agent.nid, nbr)
         if self.is_nlos(agent.nid, nbr, self.now):
             self._link_excess[pair] = float(
@@ -745,20 +721,13 @@ class Simulation:
             )
         else:
             self._link_excess[pair] = 0.0
-        session = RangingSession(
-            initiator=agent.nid, responder=nbr, session_id=next(self._session_ids)
-        )
-        agent.session = session
-        actions = begin_ranging(session)
-        self._process_fsm_actions(agent, actions)
-        agent.timeout_gen += 1  # disarm the last session's timer; the init arms one
+        session = agent.session = RangingSession(initiator=agent.nid, responder=nbr)
+        self._process_fsm_actions(agent, begin_ranging(session))
 
     def _on_range_ready(self, node: _Node, value: float):
         if not node.in_hold:
             return  # responder side; only the initiator collects
-        node.timeout_gen += 1  # disarm pending timeout
-        nbr = node.current_peer
-        node.collected.setdefault(nbr, []).append(value)
+        node.collected.setdefault(node.session.responder, []).append(value)
         node.session = None
         self._schedule(
             self.now + protocol.EXCHANGE_GAP_S,

@@ -202,6 +202,37 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict(bad)
 
+    @pytest.mark.parametrize("patch, key", [
+        # A period <= 0 never advances the clock: the run loops at one time.
+        ({"parameters": {"epoch_period_s": 0}}, "epoch_period_s"),
+        ({"parameters": {"epoch_jitter": 1.0}}, "epoch_jitter"),
+        ({"parameters": {"epoch_jitter": -0.1}}, "epoch_jitter"),
+        # Values that parse and then fail inside Simulation.
+        ({"parameters": {"chirp_mean_interval_s": 0}}, "chirp_mean_interval_s"),
+        ({"parameters": {"budget": -1}}, "budget"),
+        ({"parameters": {"clock_drift_ppm": 150}}, "clock_drift_ppm"),
+        ({"parameters": {"los_sigma_m": -0.1}}, "los_sigma_m"),
+        ({"parameters": {"msg_air_s": 0}}, "msg_air_s"),
+        ({"seed": -1}, "seed"),
+        # Malformed values.
+        ({"agents": [{"id": "x", "initial_position": [1, 1, 1]}]}, r"agents\[0\]\.id"),
+        ({"link_truth": {"blocked_pairs": [5]}}, "blocked_pairs"),
+        ({"agents": [5]}, r"agents\[0\]"),
+        ({"agents": [{"id": 10, "initial_position": [1, 1, 1],
+                      "trajectory": [{"position": [2, 2, 1], "arrival_s": "x"}]}]},
+         "arrival_s"),
+        ({"parameters": None}, "parameters"),
+        # Values that would be silently misread.
+        ({"parameters": {"allow_agent_measurements": "false"}}, "allow_agent_measurements"),
+        ({"parameters": {"budget": 12.7}}, "budget"),
+        ({"parameters": {"erc_noise_sigma": -0.1}}, "erc_noise_sigma"),
+        ({"link_truth": {"comm_range_m": -1}}, "comm_range_m"),
+        ({"duration_s": "1"}, "duration_s"),
+    ])
+    def test_unusable_value_named(self, patch, key):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict({**MINIMAL, **patch})
+
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)
         bad["agents"] = [{"id": 10, "initial_position": [1, 1]}]

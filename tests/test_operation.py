@@ -14,7 +14,6 @@ from coopnav import operation
 from coopnav.errors import DegenerateGeometryError, InvalidArgumentError
 from coopnav.model import MotionModel, symmetrize
 from coopnav.operation import (
-    ActivationInputs,
     AllocationProblem,
     AllocationResult,
     LinkInfo,
@@ -326,8 +325,7 @@ class TestHtna:
         problem = self._problem()
         proposal = _proposal(problem, np.array([4, 4]))
         covs = (np.diag([1.0, 1, 1, 0.01, 0.01, 0.01]),)
-        inputs = ActivationInputs(proposal, covs, MOTION, 0.008)
-        assert htna_decide(inputs, problem)
+        assert htna_decide(problem, proposal, covs, MOTION, 0.008)
 
     def test_stays_silent_when_converged(self):
         links = (
@@ -339,8 +337,7 @@ class TestHtna:
         proposal = _proposal(problem, np.array([4, 4]))
         # large subnetwork cost: three members with big velocity uncertainty
         big = np.diag([1.0, 1, 1, 4.0, 4.0, 4.0])
-        inputs = ActivationInputs(proposal, (big, big, big), MOTION, 0.05)
-        assert not htna_decide(inputs, problem)
+        assert not htna_decide(problem, proposal, (big, big, big), MOTION, 0.05)
 
     def test_threshold_flips_with_access_time(self):
         # sweep the assumed channel-access time until the decision flips
@@ -348,7 +345,7 @@ class TestHtna:
         proposal = _proposal(problem, np.array([4, 4]))
         covs = (np.diag([0.01, 0.01, 0.01, 1.0, 1.0, 1.0]),) * 3
         decisions = [
-            htna_decide(ActivationInputs(proposal, covs, MOTION, dt), problem)
+            htna_decide(problem, proposal, covs, MOTION, dt)
             for dt in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         ]
         assert decisions[0] and not decisions[-1]
@@ -367,7 +364,7 @@ class TestHtna:
             covs = (random_spd6(rng),) * int(rng.integers(1, 4))
             dt = float(10.0 ** rng.uniform(-2, 1))  # both decisions occur
             want = reduction(problem, proposal.m) > trace_increase(covs, MOTION, dt)
-            assert htna_decide(ActivationInputs(proposal, covs, MOTION, dt), problem) == want
+            assert htna_decide(problem, proposal, covs, MOTION, dt) == want
 
 
 class TestAllocation:

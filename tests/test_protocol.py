@@ -104,8 +104,8 @@ def run_exchange(distance_m=6.0, tamper=None):
     """Drive both FSM halves through a full exchange with physical timestamps."""
     tof = distance_m / SPEED_OF_LIGHT
     clk = ClockModel()
-    s_i = RangingSession("I", "R", session_id=7)
-    s_r = RangingSession("I", "R", session_id=7)
+    s_i = RangingSession("I", "R")
+    s_r = RangingSession("I", "R")
     t = 1.0
     outbox = list(begin_ranging(s_i))
     results = {"I": None, "R": None}
@@ -121,7 +121,7 @@ def run_exchange(distance_m=6.0, tamper=None):
             sess_tx.record_tx(send.ts_slot, tx_ts)
         t += tof
         msg = Message(send.kind, sender, send.dst, tx_ts=tx_ts,
-                      rx_ts=clk.ticks(t), data=dict(send.data), session_id=7)
+                      rx_ts=clk.ticks(t), data=dict(send.data))
         if tamper:
             msg = tamper(msg) or msg
         sess_rx, outs = ranging_fsm_step(sess_rx, msg, receiver)

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopnav import inference, operation
 from coopnav.config import (
@@ -286,7 +287,8 @@ def _exchange_at(sim, t, initiator, responder):
 
 class TestSessionTimeout:
     """A node's finished session leaves its last timer pending. A session it
-    starts before that timer expires must not be failed by it."""
+    starts before that timer expires must not be failed by it. Each send of a
+    session that awaits a reply re-arms its timer."""
 
     @pytest.mark.parametrize("role", ["responder", "initiator"])
     def test_old_timer_spares_next_session(self, role):
@@ -310,6 +312,25 @@ class TestSessionTimeout:
         assert result.counters["failed_exchanges"] == 0
         expected = {(11, 10): 2} if role == "responder" else {(10, 1): 1, (11, 10): 1}
         assert result.link_counts == expected
+
+    def test_lost_report_fails_after_final(self):
+        sim = _idle_sim()
+        ta, air = TURNAROUND_S, sim.par.msg_air_s
+        # Agent 11 ranges with node 10 at 0: its init leaves at ta, its final
+        # at 3 ta + 2 air, and node 10's report is on the air from 4 ta + 3 air
+        # to 4 ta + 4 air. Blocking the link mid-report loses it.
+        init_deadline = ta + RANGING_TIMEOUT_S
+        final_deadline = 3 * ta + 2 * air + RANGING_TIMEOUT_S
+        _exchange_at(sim, 0.0, 11, 10)
+        sim._schedule(4 * ta + 3.5 * air,
+                      lambda: setattr(sim, "_blocked", frozenset({link_key(10, 11)})))
+        failed = []
+        for t in (init_deadline + ta, final_deadline - ta, final_deadline + ta):
+            sim._schedule(t, lambda: failed.append(sim.counters["failed_exchanges"]))
+        result = sim.run()
+        # The init's timer is superseded: the session fails at the final's.
+        assert failed == [0, 0, 1]
+        assert result.link_counts == {}
 
 
 class TestSubnetViolations:
@@ -477,6 +498,56 @@ class TestKernelEdgeCases:
         result = self.run_checked(scen, acronym)
         assert degenerate
         assert result.total_measurements() == 0
+
+
+_ROOM = st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 8.0), st.floats(0.0, 3.0))
+
+
+@st.composite
+def _fuzz_scenarios(draw):
+    """Small scenarios: 1-4 agents, 0-6 anchors, random blocked and NLOS
+    pairs, a range short enough to leave links out of range, runs <= 2 s."""
+    anchors = tuple(
+        AnchorSpec(i, draw(_ROOM)) for i in range(1, draw(st.integers(0, 6)) + 1)
+    )
+    agents = []
+    for nid in range(10, 10 + draw(st.integers(1, 4))):
+        trajectory = ()
+        if draw(st.booleans()):
+            trajectory = (Waypoint(draw(_ROOM), draw(st.floats(0.1, 2.0))),)
+        mean = (*draw(_ROOM), 0.0, 0.0, 0.0) if draw(st.booleans()) else None
+        agents.append(AgentSpec(nid, draw(_ROOM), trajectory, belief_mean=mean))
+    ids = [a.id for a in anchors] + [a.id for a in agents]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    some_pairs = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    link_truth = LinkTruthConfig(
+        comm_range_m=draw(st.floats(1.0, 15.0)),
+        nlos_pairs=tuple(draw(some_pairs)),
+        blocked_pairs=tuple(draw(some_pairs)),
+    )
+    par = dataclasses.replace(
+        Parameters(), allow_agent_measurements=draw(st.booleans())
+    )
+    return ScenarioConfig(
+        name="fuzz", duration_s=draw(st.floats(0.0, 2.0)), anchors=anchors,
+        agents=tuple(agents), link_truth=link_truth, parameters=par,
+    )
+
+
+class TestKernelProperties:
+    """The invariants of TestKernelEdgeCases and more, over generated scenarios."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scen=_fuzz_scenarios(), acronym=st.sampled_from(sorted(ACRONYMS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_invariants(self, scen, acronym, seed):
+        result = TestKernelEdgeCases.run_checked(scen, acronym, seed)
+        times = {}
+        for r in result.records:
+            times.setdefault(r.node_id, []).append(r.time_s)
+            assert np.all(np.isfinite(r.est_pos))
+            assert r.activated or r.n_meas == 0
+        assert all(ts == sorted(ts) for ts in times.values())
 
 
 class TestUnexpectedErrorsPropagate:
