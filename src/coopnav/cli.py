@@ -6,7 +6,8 @@ Subcommands:
     compare    run two algorithm combinations over shared seeds and compare
     validate   parse and check a scenario file without running it
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on simulation failures.
+Exit codes: 0 on success, 2 on configuration errors (a run with no record to
+evaluate included), 3 on simulation failures.
 The default output directory can be set via the COOPNAV_OUTPUT_DIR
 environment variable (falling back to the current directory).
 """
@@ -25,7 +26,7 @@ from .config import (
     bundled_scenario_path,
     load_scenario,
 )
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, NoRecordsError, SimulationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,11 +65,26 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"invalid seed list {text!r}; use N, 'a,b,c', or 'lo:hi'") from None
     if not seeds:
         raise ConfigError("seed list is empty")
+    for seed in seeds:
+        _check_seed(seed)
     return seeds
+
+
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
+
+
+def _check_node(scenario: ScenarioConfig, node: int | None) -> None:
+    """Reject a --node that keeps no records before running any seed."""
+    agents = [a.id for a in scenario.agents]
+    if node is not None and node not in agents:
+        raise ConfigError(f"--node {node} is not an agent of {scenario.name!r} (agents {agents})")
 
 
 def cmd_run(args) -> int:
     scenario = _apply_acronym(_load(args.scenario), args.acronym)
+    _check_seed(args.seed)
     out = _output_dir(args.output_dir)
     result = simkernel.run(scenario, seed=args.seed, collect_trace=args.trace)
     stem = f"{scenario.name}_seed{result.seed}"
@@ -93,6 +109,7 @@ def cmd_run(args) -> int:
 def cmd_replicate(args) -> int:
     scenario = _apply_acronym(_load(args.scenario), args.acronym)
     seeds = _parse_seeds(args.seeds)
+    _check_node(scenario, args.node)
     out = _output_dir(args.output_dir)
     _, reports = harness.replicate(
         scenario, seeds, node_id=args.node, workers=args.workers
@@ -111,6 +128,7 @@ def cmd_replicate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args.scenario)
     seeds = _parse_seeds(args.seeds)
+    _check_node(scenario, args.node)
     out = _output_dir(args.output_dir)
     cmp = harness.compare(
         scenario, args.baseline, args.candidate, seeds,
@@ -195,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, NoRecordsError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

@@ -165,6 +165,14 @@ def _number(v, where: str, rule=None, integer: bool = False):
     return out
 
 
+def _string(v, where: str, optional: bool = False):
+    """A JSON string (or null, if `optional`); anything else is a ConfigError
+    naming `where`."""
+    if not isinstance(v, str) and not (optional and v is None):
+        raise ConfigError(f"{where} must be a string, got {v!r}")
+    return v
+
+
 def _vec(v, n, where) -> tuple:
     out = tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(_list(v, where)))
     if len(out) != n:
@@ -192,7 +200,7 @@ def _parse_anchor(d: dict, idx: int) -> AnchorSpec:
     return AnchorSpec(
         _number(d["id"], f"{where}.id", integer=True),
         _vec(d["position"], 3, f"{where}.position"),
-        d.get("label"),
+        _string(d.get("label"), f"{where}.label", optional=True),
     )
 
 
@@ -236,7 +244,7 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
         belief_mean=None if belief_mean is None else _vec(belief_mean, 6, f"{where}.belief_mean"),
         pos_sigma=pos_sigma,
         vel_sigma=vel_sigma,
-        label=d.get("label"),
+        label=_string(d.get("label"), f"{where}.label", optional=True),
     )
 
 
@@ -317,7 +325,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     parameters = Parameters(**kwargs)
 
     return ScenarioConfig(
-        name=str(d["name"]),
+        name=_string(d["name"], "name"),
         duration_s=duration,
         seed=_number(d.get("seed", 0), "seed", _NONNEGATIVE, integer=True),
         anchors=anchors,

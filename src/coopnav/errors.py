@@ -9,6 +9,12 @@ class InvalidArgumentError(CoopnavError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class NoRecordsError(InvalidArgumentError):
+    """A metric was asked of a run that kept no record in the selection:
+    no agent, no epoch before the end, or none of the selected node after
+    the burn-in."""
+
+
 class NumericFailureError(CoopnavError):
     """A numerical operation failed beyond recoverable tolerance."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .config import ACRONYMS, ScenarioConfig
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NoRecordsError
 from .simkernel import RunResult, run
 
 
@@ -102,7 +102,11 @@ def evaluate(result: RunResult, node_id: int | None = None,
              burn_in_s: float | None = None) -> MetricReport:
     errors = position_errors(result, node_id=node_id, burn_in_s=burn_in_s)
     if errors.size == 0:
-        raise InvalidArgumentError("no records to evaluate")
+        raise NoRecordsError(
+            f"no records to evaluate in {result.scenario!r} seed {result.seed}"
+            + ("" if node_id is None else f" for node {node_id}")
+            + ("" if not burn_in_s else f" after the {burn_in_s:g} s burn-in")
+        )
     recs = [
         r for r in result.records
         if (node_id is None or r.node_id == node_id)

@@ -8,12 +8,12 @@ the channel: the simulation kernel stamps timestamps and moves messages.
 Ranging exchange layout (initiator I, responder R):
 
     I --init-->  R     t1 = I tx, t2 = R rx
-    I <--resp--  R     t3 = R tx (carries t2), t4 = I rx
+    I <--resp--  R     t3 = R tx, t4 = I rx
     I --final--> R     t5 = I tx (carries t1, t4), t6 = R rx
     I <-report-- R     carries the range computed by R from t1..t6
 
-The range uses only the six timestamps of the first three messages, so both
-sides end up with the identical value; the report just shares it.
+Only the responder holds all six timestamps; the report gives the initiator
+the same value.
 """
 
 from __future__ import annotations
@@ -118,28 +118,25 @@ class SendMessage:
 
 @dataclass(slots=True)
 class RangeReady:
-    """FSM output: the exchange produced a range value [m]."""
+    """FSM output: the initiator's exchange produced a range value [m]."""
 
     value: float
 
 
 @dataclass(slots=True)
 class RangingSession:
+    """One node's view of an exchange. It keeps the timestamps it reads: the
+    initiator t1, the responder t2 and t3 for the range it computes."""
+
     initiator: object
     responder: object
     phase: Phase = Phase.IDLE
     t1: float | None = None
     t2: float | None = None
     t3: float | None = None
-    t4: float | None = None
-    t5: float | None = None
-    t6: float | None = None
     # Simulation time at which the session fails unless its partner replies;
     # each send that awaits a reply moves it.
     deadline: float | None = None
-
-    def record_tx(self, slot: str, ts: float) -> None:
-        setattr(self, slot, ts)
 
     @property
     def active(self) -> bool:
@@ -148,9 +145,6 @@ class RangingSession:
             Phase.AWAITING_FINAL,
             Phase.AWAITING_REPORT,
         )
-
-    def partner_of(self, node) -> object:
-        return self.responder if node == self.initiator else self.initiator
 
 
 def begin_ranging(session: RangingSession) -> list:
@@ -161,8 +155,9 @@ def begin_ranging(session: RangingSession) -> list:
     return [SendMessage(MsgKind.RANGING_INIT, session.responder, ts_slot="t1")]
 
 
-def ranging_fsm_step(session: RangingSession, event, node) -> tuple[RangingSession, list]:
-    """Deterministic transition table for one node's view of a ranging session.
+def ranging_fsm_step(session: RangingSession, event, node) -> list:
+    """Deterministic transition table for one node's view of a ranging session;
+    returns the actions it emits.
 
     `event` is a received Message or the TIMEOUT sentinel. Unexpected messages
     (wrong sender during lockout, wrong kind for the phase) are dropped and
@@ -171,65 +166,39 @@ def ranging_fsm_step(session: RangingSession, event, node) -> tuple[RangingSessi
     if event is TIMEOUT:
         if session.active:
             session.phase = Phase.FAILED
-        return session, []
+        return []
     msg = event
-    if msg.src != session.partner_of(node):
-        return session, []  # lockout: only accept messages from the partner
+    if msg.src != (session.responder if node == session.initiator else session.initiator):
+        return []  # lockout: only accept messages from the partner
 
     if node == session.responder:
         if session.phase is Phase.IDLE and msg.kind is MsgKind.RANGING_INIT:
             session.t2 = msg.rx_ts
             session.phase = Phase.AWAITING_FINAL
-            return session, [
-                SendMessage(
-                    MsgKind.RANGING_RESP,
-                    session.initiator,
-                    data={"t2": session.t2},
-                    ts_slot="t3",
-                )
-            ]
+            return [SendMessage(MsgKind.RANGING_RESP, session.initiator, ts_slot="t3")]
         if session.phase is Phase.AWAITING_FINAL and msg.kind is MsgKind.RANGING_FINAL:
-            session.t1 = msg.data["t1"]
-            session.t4 = msg.data["t4"]
-            session.t5 = msg.tx_ts
-            session.t6 = msg.rx_ts
             try:
                 value = twr_range(
-                    session.t1, session.t2, session.t3,
-                    session.t4, session.t5, session.t6,
+                    msg.data["t1"], session.t2, session.t3,
+                    msg.data["t4"], msg.tx_ts, msg.rx_ts,
                 )
             except RangingError:
                 session.phase = Phase.FAILED
-                return session, []
+                return []
             session.phase = Phase.DONE
-            return session, [
-                RangeReady(value),
-                SendMessage(
-                    MsgKind.RANGING_REPORT,
-                    session.initiator,
-                    data={"range": value},
-                ),
-            ]
-        return session, []
+            return [SendMessage(MsgKind.RANGING_REPORT, session.initiator,
+                                data={"range": value})]
+        return []
 
     # Initiator side.
     if session.phase is Phase.AWAITING_RESP and msg.kind is MsgKind.RANGING_RESP:
-        session.t2 = msg.data["t2"]
-        session.t3 = msg.tx_ts
-        session.t4 = msg.rx_ts
         session.phase = Phase.AWAITING_REPORT
-        return session, [
-            SendMessage(
-                MsgKind.RANGING_FINAL,
-                session.responder,
-                data={"t1": session.t1, "t4": session.t4},
-                ts_slot="t5",
-            )
-        ]
+        return [SendMessage(MsgKind.RANGING_FINAL, session.responder,
+                            data={"t1": session.t1, "t4": msg.rx_ts})]
     if session.phase is Phase.AWAITING_REPORT and msg.kind is MsgKind.RANGING_REPORT:
         session.phase = Phase.DONE
-        return session, [RangeReady(msg.data["range"])]
-    return session, []
+        return [RangeReady(msg.data["range"])]
+    return []
 
 
 # --- neighbor discovery ------------------------------------------------------

@@ -241,8 +241,10 @@ class RunResult:
         return sum(r.n_meas for r in self.records)
 
 
-_LS_SUMMARY_COV = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_LS_SUMMARY_COV.setflags(write=False)
+# An LS agent's belief: its position estimate, shared with unit position
+# covariance, since the LS baseline tracks no uncertainty.
+LS_COV = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+LS_COV.setflags(write=False)
 
 
 class _Node:
@@ -252,15 +254,12 @@ class _Node:
         self.traj = traj
         self.clock = clock
         self.belief = belief
-        self.ls_est = None  # LS agents track a bare position estimate
         self.table = NeighborTable()
         self.session: RangingSession | None = None
         # epoch bookkeeping (agents only)
         self.period = 0.0
-        self.last_epoch_time = 0.0
         self.epoch_t0 = 0.0
         self.in_hold = False
-        self.activated = False
         self.csma_attempt = 0
         self.exchange_queue: deque = deque()
         self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
@@ -269,6 +268,10 @@ class _Node:
         self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
+
+    def summary(self) -> StateSummary:
+        # Beliefs are immutable (read-only arrays), so receivers may share them.
+        return StateSummary(self.belief.mean[:3], self.belief.covariance)
 
     def busy_for_ranging(self) -> bool:
         return (self.session is not None and self.session.active) or self.in_hold
@@ -303,7 +306,6 @@ class Simulation:
             "failed_exchanges": 0,
         }
         self._link_excess: dict = {}
-        self._holding: set = set()
         # Carrier sense: node id -> busy callback of its open sense window. The
         # callback is the window's token; a window that lost it was closed busy.
         self._sensing: dict = {}
@@ -334,11 +336,13 @@ class Simulation:
                 a.belief_mean if a.belief_mean is not None else DEFAULT_BELIEF_MEAN,
                 dtype=float,
             )
-            ps = POS_SIGMA if a.pos_sigma is None else a.pos_sigma
-            vs = VEL_SIGMA if a.vel_sigma is None else a.vel_sigma
-            cov = np.diag([ps * ps] * 3 + [vs * vs] * 3)
+            if self.scenario.algorithms.inference == "LS":
+                cov = LS_COV
+            else:
+                ps = POS_SIGMA if a.pos_sigma is None else a.pos_sigma
+                vs = VEL_SIGMA if a.vel_sigma is None else a.vel_sigma
+                cov = np.diag([ps * ps] * 3 + [vs * vs] * 3)
             node = _Node(a.id, False, traj, self._draw_clock(), GaussianBelief(mean, cov))
-            node.ls_est = mean[:3].copy()
             self.nodes[a.id] = node
         # epoch periods and initial events, in sorted id order for determinism
         for nid in sorted(self.nodes):
@@ -473,7 +477,7 @@ class Simulation:
             if msg.kind is not MsgKind.RANGING_INIT or node.in_hold:
                 return
             session = node.session = RangingSession(initiator=msg.src, responder=node.nid)
-        _, actions = ranging_fsm_step(session, msg, node.nid)
+        actions = ranging_fsm_step(session, msg, node.nid)
         self._process_fsm_actions(node, actions)
         if session.phase in (Phase.DONE, Phase.FAILED) and not actions:
             node.session = None
@@ -499,11 +503,11 @@ class Simulation:
             data = {"range": data["range"] + float(self.rng.normal(0.0, self.par.los_sigma_m))}
         msg = Message(
             kind=action.kind, src=node.nid, dst=action.dst,
-            payload=self._state_summary(node), data=data,
+            payload=node.summary(), data=data,
         )
         self._transmit(node, msg, self.par.msg_air_s)
         if action.ts_slot is not None:
-            session.record_tx(action.ts_slot, msg.tx_ts)
+            setattr(session, action.ts_slot, msg.tx_ts)
         if action.kind is not MsgKind.RANGING_REPORT:
             self._arm_timeout(node, session)
         elif session.phase is Phase.DONE:
@@ -531,12 +535,6 @@ class Simulation:
                 lambda n=node: self._next_exchange(n),
             )
 
-    def _state_summary(self, node: _Node) -> StateSummary:
-        if self.scenario.algorithms.inference == "LS" and not node.is_anchor:
-            return StateSummary(node.ls_est.copy(), _LS_SUMMARY_COV)
-        # Beliefs are immutable (read-only arrays), so receivers may share them.
-        return StateSummary(node.belief.mean[:3], node.belief.covariance)
-
     # -- chirps --------------------------------------------------------------
 
     def _chirp(self, node: _Node):
@@ -545,7 +543,7 @@ class Simulation:
         else:
             msg = Message(
                 kind=MsgKind.CHIRP, src=node.nid, dst=None,
-                payload=self._state_summary(node),
+                payload=node.summary(),
             )
             self._transmit(node, msg, protocol.CHIRP_AIR_S)
             nxt = self.now + chirp_scheduler(self.rng, self.par.chirp_mean_interval_s)
@@ -558,10 +556,8 @@ class Simulation:
         t0 = self.now
         if t0 >= self.duration:
             return
+        dt = t0 - agent.epoch_t0
         agent.epoch_t0 = t0
-        dt = t0 - agent.last_epoch_time
-        agent.last_epoch_time = t0
-        agent.activated = False
         agent.csma_attempt = 0
         agent.collected = {}
         agent.exchange_queue = deque()
@@ -601,15 +597,9 @@ class Simulation:
             out.append(nid)
         return out
 
-    def _own_position_cov(self, agent: _Node) -> tuple[np.ndarray, np.ndarray]:
-        if self.scenario.algorithms.inference == "LS":
-            return agent.ls_est.copy(), np.eye(3)
-        mu_p, c_p = inference.marginalize_position(agent.belief)
-        return mu_p, c_p
-
     def _prioritize(self, agent: _Node):
         neighbors = self._eligible_neighbors(agent)
-        mu_p, c_p = self._own_position_cov(agent)
+        mu_p, c_p = inference.marginalize_position(agent.belief)
         links = []
         for nid in neighbors:
             entry = agent.table.entries[nid]
@@ -693,15 +683,14 @@ class Simulation:
             # responding to someone else right now; skip this epoch
             self._finalize(agent)
             return
-        agent.in_hold = True
-        agent.activated = True
         pos = self._position(agent, self.now)
-        for other in self._holding:
-            dist = _dist(pos, self._position(self.nodes[other], self.now))
-            if hears(agent.nid, other, dist, self._comm_range, self._blocked):
+        for other in self._ordered:
+            if other.in_hold and hears(agent.nid, other.nid,
+                                       _dist(pos, self._position(other, self.now)),
+                                       self._comm_range, self._blocked):
                 self.counters["subnet_violations"] += 1
                 break
-        self._holding.add(agent.nid)
+        agent.in_hold = True
         queue = deque()
         for link, m in zip(agent.problem.links, agent.proposal.m):
             for _ in range(int(m)):
@@ -725,8 +714,6 @@ class Simulation:
         self._process_fsm_actions(agent, begin_ranging(session))
 
     def _on_range_ready(self, node: _Node, value: float):
-        if not node.in_hold:
-            return  # responder side; only the initiator collects
         node.collected.setdefault(node.session.responder, []).append(value)
         node.session = None
         self._schedule(
@@ -735,8 +722,8 @@ class Simulation:
         )
 
     def _finalize(self, agent: _Node):
+        activated = agent.in_hold
         agent.in_hold = False
-        self._holding.discard(agent.nid)
         entries = []
         for nbr in sorted(agent.collected):
             # The table is purged only at the start of an epoch, so every
@@ -761,17 +748,19 @@ class Simulation:
                 agent.belief = inference.spbp_update(
                     agent.belief, inference.MeasurementBatch(tuple(entries))
                 )
-            est = agent.belief.mean[:3]
             cov_trace = float(agent.belief.covariance[:3, :3].trace())
         else:
             if entries:
                 try:
-                    agent.ls_est = inference.ls_estimate(
-                        agent.ls_est, inference.MeasurementBatch(tuple(entries))
+                    p = inference.ls_estimate(
+                        agent.belief.mean[:3], inference.MeasurementBatch(tuple(entries))
                     )
                 except EstimationFailureError:
                     pass  # divergence: keep the previous estimate
-            est = agent.ls_est
+                else:
+                    agent.belief = GaussianBelief(
+                        np.concatenate([p, agent.belief.mean[3:]]), LS_COV
+                    )
             cov_trace = float("nan")
         truth = self._position(agent, agent.epoch_t0)
         self.records.append(
@@ -779,10 +768,10 @@ class Simulation:
                 time_s=agent.epoch_t0,
                 node_id=agent.nid,
                 true_pos=np.array(truth),
-                est_pos=np.array(est, dtype=float),
+                est_pos=np.array(agent.belief.mean[:3]),
                 cov_trace=cov_trace,
                 n_meas=n_meas,
-                activated=1 if agent.activated else 0,
+                activated=1 if activated else 0,
                 policy=self.scenario.algorithms.activation,
             )
         )

@@ -87,3 +87,58 @@ class TestCommands:
             (tmp_path / "single_floor_inference_LS-AL-UN_vs_BP-AL-UN.json").read_text()
         )
         assert out["baseline"] == "LS-AL-UN" and out["seeds"] == [0, 1]
+
+
+def _short_scenario(tmp_path, parameters=(), **over):
+    """single_floor_inference cut to 2 s with no burn-in, saved as JSON with
+    `parameters` and then `over` (top-level keys) applied; returns the file
+    path."""
+    from coopnav.config import bundled_scenario_path, load_scenario, scenario_to_dict
+
+    d = scenario_to_dict(load_scenario(bundled_scenario_path("single_floor_inference")))
+    d["duration_s"] = 2.0
+    d["parameters"]["metrics_burn_in_s"] = 0.0
+    d["parameters"].update(parameters)
+    d.update(over)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+class TestUnusableArguments:
+    """Arguments that select nothing to run or evaluate exit with EXIT_CONFIG
+    and a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "{path}", "--seed", "-1"], "seed"),
+        (["replicate", "{path}", "--seeds=-1,2"], "seed"),
+        (["replicate", "{path}", "--seeds", "0", "--node", "99"], "--node 99"),
+        (["replicate", "{path}", "--seeds", "0", "--node", "1"], "--node 1"),
+        (["compare", "{path}", "--baseline", "LS-AL-UN", "--candidate", "BP-AL-UN",
+          "--seeds", "0", "--node", "1"], "--node 1"),
+    ], ids=["run-negative-seed", "replicate-negative-seed", "unknown-node",
+            "anchor-node", "compare-anchor-node"])
+    def test_bad_argument(self, tmp_path, capsys, argv, key):
+        path = _short_scenario(tmp_path)
+        argv = [a.format(path=path) for a in argv] + ["--output-dir", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("over", [
+        {"agents": []},
+        {"duration_s": 0},
+        # Epochs start at 0.0, 0.1, ..., 0.9 s: the burn-in leaves none.
+        {"duration_s": 0.95, "parameters": {"metrics_burn_in_s": 0.92, "epoch_jitter": 0.0}},
+    ], ids=["no-agents", "zero-duration", "burn-in-past-last-epoch"])
+    @pytest.mark.parametrize("command", ["run", "replicate"])
+    def test_nothing_to_evaluate(self, tmp_path, capsys, over, command):
+        path = _short_scenario(tmp_path, **over)
+        argv = [command, path, "--output-dir", str(tmp_path)]
+        if command == "replicate":
+            argv += ["--seeds", "0"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no records to evaluate")
+        assert err.count("\n") == 1

@@ -228,6 +228,11 @@ class TestScenarioConfig:
         ({"parameters": {"erc_noise_sigma": -0.1}}, "erc_noise_sigma"),
         ({"link_truth": {"comm_range_m": -1}}, "comm_range_m"),
         ({"duration_s": "1"}, "duration_s"),
+        ({"name": None}, "name"),
+        ({"name": ["a"]}, "name"),
+        ({"anchors": [{"id": 1, "position": [0, 0, 0], "label": 7}]}, r"anchors\[0\]\.label"),
+        ({"agents": [{"id": 10, "initial_position": [1, 1, 1], "label": {"x": 1}}]},
+         r"agents\[0\]\.label"),
     ])
     def test_unusable_value_named(self, patch, key):
         with pytest.raises(ConfigError, match=key):

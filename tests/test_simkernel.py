@@ -2,13 +2,14 @@
 arbitration and sensing, determinism, and end-to-end estimation sanity."""
 
 import dataclasses
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coopnav import inference, operation
+from coopnav import inference, operation, simkernel
 from coopnav.config import (
     ACRONYMS,
     AgentSpec,
@@ -33,6 +34,7 @@ from coopnav.protocol import (
     MsgKind,
 )
 from coopnav.simkernel import (
+    LS_COV,
     ChannelState,
     RunRecord,
     Simulation,
@@ -457,6 +459,10 @@ class TestKernelEdgeCases:
             per_agent[r.node_id] = per_agent.get(r.node_id, 0) + 1
         assert per_agent == sim.epochs
         assert sum(result.link_counts.values()) == result.total_measurements()
+        for node in sim.nodes.values():
+            assert node.belief.is_psd()
+        if sim.scenario.algorithms.inference == "SPBP":
+            assert all(r.cov_trace >= 0 for r in result.records)
         return result
 
     @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
@@ -548,6 +554,94 @@ class TestKernelProperties:
             assert np.all(np.isfinite(r.est_pos))
             assert r.activated or r.n_meas == 0
         assert all(ts == sorted(ts) for ts in times.values())
+
+
+class TestLsBelief:
+    """An LS agent's estimate is its belief, with unit position covariance,
+    and both inputs of its HTNA gate read that covariance."""
+
+    def test_belief_is_last_estimate(self):
+        scen = small_scenario(agents=TWO_AGENTS, duration_s=3.0).with_algorithms("LS-AL-UN")
+        sim = Simulation(scen, seed=0)
+        result = sim.run()
+        assert result.total_measurements() > 0
+        for nid in (10, 11):
+            belief = sim.nodes[nid].belief
+            last = [r for r in result.records if r.node_id == nid][-1]
+            assert np.array_equal(belief.covariance, LS_COV)
+            assert np.array_equal(belief.mean[:3], last.est_pos)
+
+    def test_htna_reads_unit_covariance(self, monkeypatch):
+        own = []
+        htna_decide = operation.htna_decide
+
+        def recording(problem, proposal, covariances, motion, dt_s):
+            own.append((problem.c_pj, covariances[0]))
+            return htna_decide(problem, proposal, covariances, motion, dt_s)
+
+        monkeypatch.setattr(operation, "htna_decide", recording)
+        scen = small_scenario(duration_s=2.0, algorithms=Algorithms("LS", "HTNA", "UNIFORM"))
+        run(scen, seed=1)
+        assert own
+        for c_pj, cov in own:
+            assert np.array_equal(c_pj, LS_COV[:3, :3])
+            assert np.array_equal(cov, LS_COV)
+
+
+class TestTracedBindings:
+    """Per-layer tracing swaps these module globals for wrappers, so the
+    kernel must call each through its binding; a call past it (say through
+    the module that defines the function) would go untraced."""
+
+    BINDINGS = [
+        (simkernel, "arbitrate"),
+        (simkernel, "neighbor_update"),
+        (simkernel, "ranging_fsm_step"),
+        (simkernel, "predict_belief"),
+        (inference, "spbp_update"),
+        (inference, "ls_estimate"),
+        (operation, "cpnp_allocate"),
+        (operation, "predicted_covariance"),
+        (operation, "htna_decide"),
+        (operation, "unit_direction"),
+    ]
+    ACRONYMS = ("LS-AL-UN", "BP-CS-UN", "BP-HT-CP")
+
+    @staticmethod
+    def runs():
+        scen = small_scenario(agents=TWO_AGENTS, duration_s=2.0)
+        out = []
+        for acronym in TestTracedBindings.ACRONYMS:
+            result = run(scen.with_algorithms(acronym), seed=3)
+            out.append((result.records_csv(), result.counters, result.link_counts))
+        return out
+
+    def test_every_binding_is_called(self, monkeypatch):
+        plain = self.runs()
+        calls = {}
+
+        def counting(key, fn):
+            def wrapper(*args, **kw):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kw)
+            return wrapper
+
+        for module, name in self.BINDINGS:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, counting(name, fn))
+            home = sys.modules[fn.__module__]
+            if home is not module:  # a call here bypasses the binding
+                monkeypatch.setattr(home, name, counting(f"{fn.__module__}.{name}", fn))
+
+        class CountingHeapq:
+            heappush = staticmethod(counting("heappush", simkernel.heapq.heappush))
+            heappop = staticmethod(counting("heappop", simkernel.heapq.heappop))
+
+        monkeypatch.setattr(simkernel, "heapq", CountingHeapq)
+        traced = self.runs()
+        expected = {name for _module, name in self.BINDINGS} | {"heappush", "heappop"}
+        assert set(calls) == expected
+        assert traced == plain
 
 
 class TestUnexpectedErrorsPropagate:
