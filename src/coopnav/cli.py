@@ -75,6 +75,11 @@ def _check_seed(seed: int | None) -> None:
         raise ConfigError(f"seeds must be >= 0, got {seed}")
 
 
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+
+
 def _check_node(scenario: ScenarioConfig, node: int | None) -> None:
     """Reject a --node that keeps no records before running any seed."""
     agents = [a.id for a in scenario.agents]
@@ -110,6 +115,7 @@ def cmd_replicate(args) -> int:
     scenario = _apply_acronym(_load(args.scenario), args.acronym)
     seeds = _parse_seeds(args.seeds)
     _check_node(scenario, args.node)
+    _check_workers(args.workers)
     out = _output_dir(args.output_dir)
     _, reports = harness.replicate(
         scenario, seeds, node_id=args.node, workers=args.workers
@@ -129,6 +135,7 @@ def cmd_compare(args) -> int:
     scenario = _load(args.scenario)
     seeds = _parse_seeds(args.seeds)
     _check_node(scenario, args.node)
+    _check_workers(args.workers)
     out = _output_dir(args.output_dir)
     cmp = harness.compare(
         scenario, args.baseline, args.candidate, seeds,
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", default="0:10",
                            help="seed list 'a,b,c' or range 'lo:hi' (default 0:10)")
             p.add_argument("--workers", type=int, default=None,
-                           help="process-pool workers (default: sequential)")
+                           help="process-pool workers, at least 1 (default: sequential)")
             p.add_argument("--node", type=int, default=None,
                            help="restrict metrics to one agent id")
 

@@ -20,17 +20,23 @@ from .errors import InvalidArgumentError, NoRecordsError
 from .simkernel import RunResult, run
 
 
+def _selected(result: RunResult, node_id: int | None, burn_in_s: float | None) -> list:
+    """The run's records of one node (all nodes if None) from the burn-in on."""
+    return [
+        r for r in result.records
+        if (node_id is None or r.node_id == node_id)
+        and (burn_in_s is None or r.time_s >= burn_in_s)
+    ]
+
+
+def _errors(records) -> np.ndarray:
+    return np.array([float(np.linalg.norm(r.est_pos - r.true_pos)) for r in records])
+
+
 def position_errors(result: RunResult, node_id: int | None = None,
                     burn_in_s: float | None = None) -> np.ndarray:
     """Per-record localization errors [m], optionally for one node only."""
-    out = []
-    for r in result.records:
-        if node_id is not None and r.node_id != node_id:
-            continue
-        if burn_in_s is not None and r.time_s < burn_in_s:
-            continue
-        out.append(float(np.linalg.norm(r.est_pos - r.true_pos)))
-    return np.array(out)
+    return _errors(_selected(result, node_id, burn_in_s))
 
 
 def rmse(errors) -> float:
@@ -100,18 +106,14 @@ class MetricReport:
 
 def evaluate(result: RunResult, node_id: int | None = None,
              burn_in_s: float | None = None) -> MetricReport:
-    errors = position_errors(result, node_id=node_id, burn_in_s=burn_in_s)
-    if errors.size == 0:
+    recs = _selected(result, node_id, burn_in_s)
+    if not recs:
         raise NoRecordsError(
             f"no records to evaluate in {result.scenario!r} seed {result.seed}"
             + ("" if node_id is None else f" for node {node_id}")
             + ("" if not burn_in_s else f" after the {burn_in_s:g} s burn-in")
         )
-    recs = [
-        r for r in result.records
-        if (node_id is None or r.node_id == node_id)
-        and (burn_in_s is None or r.time_s >= burn_in_s)
-    ]
+    errors = _errors(recs)
     activated = sum(r.activated for r in recs)
     return MetricReport(
         scenario=result.scenario,
@@ -121,7 +123,7 @@ def evaluate(result: RunResult, node_id: int | None = None,
         rmse_m=rmse(errors),
         e_th_80_m=outage_threshold(errors, 0.2),
         meas_rate_hz=measurement_rate(result),
-        activation_fraction=activated / len(recs) if recs else 0.0,
+        activation_fraction=activated / len(recs),
     )
 
 
@@ -135,11 +137,14 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
     """Run the scenario once per seed and evaluate each run.
 
     Results are returned ordered by the position in `seeds` regardless of
-    worker completion order, so replication is deterministic.
+    worker completion order, so replication is deterministic. `workers`, if
+    given, must be at least 1; a process pool runs the seeds when it is more.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgumentError("replicate requires at least one seed")
+    if workers is not None and workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     burn = scenario.parameters.metrics_burn_in_s if burn_in_s is None else burn_in_s
     if workers is not None and workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

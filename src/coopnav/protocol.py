@@ -57,7 +57,8 @@ class MsgKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class StateSummary:
-    """Position mean plus full-state covariance, as carried in message payloads."""
+    """Position mean plus full-state covariance, as carried in message payloads.
+    Both are read-only float arrays, which every receiver's table shares."""
 
     mu_p: np.ndarray  # (3,)
     cov: np.ndarray  # (N_x, N_x)
@@ -233,8 +234,8 @@ class NeighborTable:
             self.entries[src] = entry
         entry.last_heard = now
         if summary is not None:
-            entry.mu_p = np.asarray(summary.mu_p, dtype=float)
-            entry.cov = np.asarray(summary.cov, dtype=float)
+            entry.mu_p = summary.mu_p
+            entry.cov = summary.cov
         if xi is not None:
             entry.xi = xi
         return entry

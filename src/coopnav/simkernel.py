@@ -71,24 +71,43 @@ class Trajectory:
         ))
 
 
-def mobility_position(traj: Trajectory, t: float) -> tuple:
-    """Position (x, y, z) along a waypoint trajectory at time t (clamped at the ends)."""
+def _trajectory_piece(traj: Trajectory, t: float) -> tuple:
+    """The piece of a waypoint trajectory that holds time t, as
+    (lo, hi, p0, start, span, delta): for every time s with lo < s <= hi the
+    position is p0 + (s - start) / span * delta, or p0 itself where delta is
+    None (before the first waypoint, at a dwell, after the last waypoint)."""
     wps = traj.waypoints
     if not wps:
         raise SimulationError("trajectory has no waypoints")
-    if t <= wps[0][1]:
-        return wps[0][0]
+    # lo is the latest bound that t has passed: the scan below reaches a
+    # piece exactly for the times above every earlier piece's end.
+    lo = wps[0][1]
+    if t <= lo:
+        return (-math.inf, lo, wps[0][0], None, None, None)
     for (p0, a0, d0), (p1, a1, _d1) in zip(wps, wps[1:]):
-        if t <= a0 + d0:
-            return p0
+        start = a0 + d0
+        if t <= start:
+            return (lo, start, p0, None, None, None)
+        lo = max(lo, start)
         if t <= a1:
-            frac = (t - (a0 + d0)) / (a1 - (a0 + d0))
-            return (
-                p0[0] + frac * (p1[0] - p0[0]),
-                p0[1] + frac * (p1[1] - p0[1]),
-                p0[2] + frac * (p1[2] - p0[2]),
-            )
-    return wps[-1][0]
+            delta = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
+            return (lo, a1, p0, start, a1 - start, delta)
+        lo = max(lo, a1)
+    return (lo, math.inf, wps[-1][0], None, None, None)
+
+
+def _piece_position(piece: tuple, t: float) -> tuple:
+    _lo, _hi, p0, start, span, delta = piece
+    if delta is None:
+        return p0
+    frac = (t - start) / span
+    return (p0[0] + frac * delta[0], p0[1] + frac * delta[1], p0[2] + frac * delta[2])
+
+
+def mobility_position(traj: Trajectory, t: float) -> tuple:
+    """Position (x, y, z) along a waypoint trajectory at time t (clamped at the
+    ends), linear between a waypoint's departure and the next one's arrival."""
+    return _piece_position(_trajectory_piece(traj, t), t)
 
 
 def _dist(a, b) -> float:
@@ -263,15 +282,22 @@ class _Node:
         self.csma_attempt = 0
         self.exchange_queue: deque = deque()
         self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
-        self.pos_memo = None
+        self.piece = None  # the _trajectory_piece of the last position asked
+        self.timer_pending = False  # a _session_timeout event is queued
+        self._summary = None  # (belief, its StateSummary)
         self.collected: dict = {}
         self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
 
     def summary(self) -> StateSummary:
-        # Beliefs are immutable (read-only arrays), so receivers may share them.
-        return StateSummary(self.belief.mean[:3], self.belief.covariance)
+        # Beliefs are immutable (read-only arrays), so every message sent
+        # under one belief carries one summary, and receivers share its arrays.
+        belief = self.belief
+        memo = self._summary
+        if memo is None or memo[0] is not belief:
+            memo = self._summary = (belief, StateSummary(belief.mean[:3], belief.covariance))
+        return memo[1]
 
     def busy_for_ranging(self) -> bool:
         return (self.session is not None and self.session.active) or self.in_hold
@@ -313,8 +339,13 @@ class Simulation:
         self._blocked = frozenset(link_key(*p) for p in scenario.link_truth.blocked_pairs)
         self._nlos_pairs = frozenset(link_key(*p) for p in scenario.link_truth.nlos_pairs)
         self._nlos_cross_z = scenario.link_truth.nlos_cross_z
+        self._any_nlos = bool(self._nlos_pairs) or self._nlos_cross_z is not None
         self._build_nodes()
         self._ordered = [self.nodes[nid] for nid in sorted(self.nodes)]
+        # Every node's position at the last frame end, in id order; only the
+        # moving nodes' entries change.
+        self._frame_pos = {n.nid: n.static_pos for n in self._ordered}
+        self._moving = [n for n in self._ordered if n.static_pos is None]
 
     # -- construction --------------------------------------------------------
 
@@ -368,14 +399,14 @@ class Simulation:
         heapq.heappush(self._queue, (t, next(self._seq), fn))
 
     def _position(self, node: _Node, t: float) -> tuple:
+        """mobility_position(node.traj, t), from the node's cached piece of its
+        trajectory while t stays inside it."""
         if node.static_pos is not None:
             return node.static_pos
-        memo = node.pos_memo
-        if memo is not None and memo[0] == t:
-            return memo[1]
-        pos = mobility_position(node.traj, t)
-        node.pos_memo = (t, pos)
-        return pos
+        piece = node.piece
+        if piece is None or not piece[0] < t <= piece[1]:
+            piece = node.piece = _trajectory_piece(node.traj, t)
+        return _piece_position(piece, t)
 
     def is_nlos(self, a: int, b: int, t: float) -> bool:
         if link_key(a, b) in self._nlos_pairs:
@@ -435,10 +466,9 @@ class Simulation:
     def _tx_end(self, tx: Transmission):
         end = tx.end
         msg = tx.msg
-        receivers = {
-            other.nid: self._position(other, end)
-            for other in self._ordered if other.nid != tx.src
-        }
+        receivers = self._frame_pos  # arbitrate skips the sender
+        for other in self._moving:
+            receivers[other.nid] = self._position(other, end)
         outcomes = arbitrate(self.channel, tx, receivers, self._comm_range, self._blocked)
         counters, trace, nodes = self.counters, self.trace, self.nodes
         delivered = []
@@ -458,10 +488,11 @@ class Simulation:
             gains = np.exp(self.rng.normal(0.0, sigma, size=len(delivered))).tolist()
         else:
             gains = [1.0] * len(delivered)
+        any_nlos = self._any_nlos
         for (node, dist), gain in zip(delivered, gains):
             if not node.is_anchor:
                 # Anchors never run epochs, so nothing reads their neighbor tables.
-                xi = erc_estimate(self.is_nlos(node.nid, tx.src, end), gain)
+                xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gain)
                 neighbor_update(node.table, msg, end, xi=xi)
             if msg.dst == node.nid:  # chirps are broadcast (dst None)
                 self._receive(node, tx, dist)
@@ -514,14 +545,23 @@ class Simulation:
             node.session = None
 
     def _arm_timeout(self, node: _Node, session: RangingSession):
-        """Fail `session` RANGING_TIMEOUT_S from now; a later send of it re-arms."""
-        deadline = session.deadline = self.now + protocol.RANGING_TIMEOUT_S
-        self._schedule(deadline, lambda: self._session_timeout(node, session, deadline))
+        """Fail `session` RANGING_TIMEOUT_S from now; a later send of it re-arms.
+        A node has at most one timer event queued: arming only moves the
+        deadline while one is pending, and the timer checks it when it pops."""
+        session.deadline = self.now + protocol.RANGING_TIMEOUT_S
+        if not node.timer_pending:
+            node.timer_pending = True
+            self._schedule(session.deadline, lambda: self._session_timeout(node))
 
-    def _session_timeout(self, node: _Node, session: RangingSession, deadline: float):
-        # A no-op once the session ended, was replaced, or was re-armed.
-        if node.session is not session or not session.active or session.deadline != deadline:
+    def _session_timeout(self, node: _Node):
+        session = node.session
+        if session is None or not session.active or session.deadline is None:
+            node.timer_pending = False  # nothing awaits a reply; a send re-arms
             return
+        if session.deadline > self.now:  # re-armed since this event was queued
+            self._schedule(session.deadline, lambda: self._session_timeout(node))
+            return
+        node.timer_pending = False
         ranging_fsm_step(session, TIMEOUT, node.nid)
         node.session = None
         self.counters["failed_exchanges"] += 1

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from coopnav.cli import EXIT_CONFIG, EXIT_OK, _parse_seeds, main
-from coopnav.errors import ConfigError
+from coopnav.config import load_scenario
+from coopnav.errors import ConfigError, InvalidArgumentError
+from coopnav.harness import replicate
 
 
 class TestSeedParsing:
@@ -116,8 +118,12 @@ class TestUnusableArguments:
         (["replicate", "{path}", "--seeds", "0", "--node", "1"], "--node 1"),
         (["compare", "{path}", "--baseline", "LS-AL-UN", "--candidate", "BP-AL-UN",
           "--seeds", "0", "--node", "1"], "--node 1"),
+        (["replicate", "{path}", "--seeds", "0,1", "--workers", "0"], "--workers must be >= 1"),
+        (["compare", "{path}", "--baseline", "LS-AL-UN", "--candidate", "BP-AL-UN",
+          "--seeds", "0,1", "--workers=-3"], "--workers must be >= 1"),
     ], ids=["run-negative-seed", "replicate-negative-seed", "unknown-node",
-            "anchor-node", "compare-anchor-node"])
+            "anchor-node", "compare-anchor-node", "replicate-zero-workers",
+            "compare-negative-workers"])
     def test_bad_argument(self, tmp_path, capsys, argv, key):
         path = _short_scenario(tmp_path)
         argv = [a.format(path=path) for a in argv] + ["--output-dir", str(tmp_path)]
@@ -125,6 +131,12 @@ class TestUnusableArguments:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_replicate_rejects_unusable_workers(self, tmp_path, workers):
+        scenario = load_scenario(_short_scenario(tmp_path))
+        with pytest.raises(InvalidArgumentError, match="workers must be >= 1"):
+            replicate(scenario, [0, 1], workers=workers)
 
     @pytest.mark.parametrize("over", [
         {"agents": []},

@@ -2,6 +2,8 @@
 arbitration and sensing, determinism, and end-to-end estimation sanity."""
 
 import dataclasses
+import math
+import random
 import sys
 from collections import deque
 
@@ -19,6 +21,8 @@ from coopnav.config import (
     Parameters,
     ScenarioConfig,
     Waypoint,
+    bundled_scenario_path,
+    load_scenario,
 )
 from coopnav.errors import (
     DegenerateGeometryError,
@@ -96,6 +100,59 @@ class TestMobility:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(SimulationError):
             mobility_position(Trajectory(()), 0.0)
+
+
+def _scan_position(traj, t):
+    """Reference: the position at t by a direct scan of the waypoints."""
+    wps = traj.waypoints
+    if t <= wps[0][1]:
+        return wps[0][0]
+    for (p0, a0, d0), (p1, a1, _d1) in zip(wps, wps[1:]):
+        if t <= a0 + d0:
+            return p0
+        if t <= a1:
+            frac = (t - (a0 + d0)) / (a1 - (a0 + d0))
+            return tuple(p0[i] + frac * (p1[i] - p0[i]) for i in range(3))
+    return wps[-1][0]
+
+
+class TestPositionCache:
+    """Simulation._position serves a moving node from the trajectory piece of
+    its last query. Asked at any time in any order, it equals
+    mobility_position (and the direct scan) bit for bit."""
+
+    @staticmethod
+    def bits(pos):
+        return tuple(float(c).hex() for c in pos)
+
+    @pytest.mark.parametrize("sim", [
+        # multi_floor's agent: six waypoints with dwells, across two floors
+        lambda: Simulation(load_scenario(bundled_scenario_path("multi_floor")), seed=0),
+        # A dwell that outlasts the next waypoint's dwell, so the scan skips a
+        # piece; coordinates where p0 + (p1 - p0) != p1 in floating point.
+        lambda: Simulation(small_scenario(agents=(AgentSpec(10, (4.7, 2.3, 1.1), trajectory=(
+            Waypoint((0.1, 0.2, 0.3), 2.0, 5.0),
+            Waypoint((1.1, 4.7, 0.3), 4.0, 1.0),
+            Waypoint((2.3, 0.1, 0.2), 8.0, 2.0),
+        )),)), seed=0),
+    ], ids=["multi_floor", "overlapping-dwell"])
+    def test_matches_mobility_position(self, sim):
+        sim = sim()
+        node = sim.nodes[10]
+        wps = node.traj.waypoints
+        rng = random.Random(7)
+        times = [-1.0, wps[0][1] - 0.5, wps[-1][1] + wps[-1][2] + 5.0]
+        times += [rng.uniform(-1.0, wps[-1][1] + 5.0) for _ in range(300)]
+        rng.shuffle(times)
+        times.insert(150, times[149])  # the same time twice in a row
+        for _p, a, d in wps:
+            for b in (a, a + d):
+                # each piece end, asked right after a time just past it
+                times += [math.nextafter(b, math.inf), b, math.nextafter(b, -math.inf), b]
+        for t in times:
+            want = self.bits(mobility_position(node.traj, t))
+            assert self.bits(sim._position(node, t)) == want, t
+            assert self.bits(_scan_position(node.traj, t)) == want, t
 
 
 def _tx(src, start, end, pos):
@@ -314,6 +371,33 @@ class TestSessionTimeout:
         assert result.counters["failed_exchanges"] == 0
         expected = {(11, 10): 2} if role == "responder" else {(10, 1): 1, (11, 10): 1}
         assert result.link_counts == expected
+
+    def test_one_timer_queued_per_node(self):
+        sim = Simulation(load_scenario(bundled_scenario_path("three_agent_activation")), seed=0)
+        queued, most = {}, {}
+        schedule = sim._schedule
+
+        def counting_schedule(t, fn):
+            code = fn.__code__
+            if "_session_timeout" not in code.co_names:
+                schedule(t, fn)
+                return
+            # A timer event; its closure holds the node it belongs to.
+            nid = fn.__closure__[code.co_freevars.index("node")].cell_contents.nid
+            queued[nid] = queued.get(nid, 0) + 1
+            most[nid] = max(most.get(nid, 0), queued[nid])
+
+            def popped():
+                queued[nid] -= 1
+                fn()
+
+            schedule(t, popped)
+
+        sim._schedule = counting_schedule
+        result = sim.run()
+        assert result.counters["failed_exchanges"] > 0
+        assert set(most) == set(sim.nodes)
+        assert set(most.values()) == {1}
 
     def test_lost_report_fails_after_final(self):
         sim = _idle_sim()
