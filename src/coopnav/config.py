@@ -229,9 +229,10 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
         _parse_waypoint(w, f"{where}.trajectory[{i}]")
         for i, w in enumerate(_list(d.get("trajectory", []), f"{where}.trajectory"))
     )
-    times = [w.arrival_s for w in traj]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError(f"{where}.trajectory arrival times must be strictly increasing")
+    for i, (w, nxt) in enumerate(zip(traj, traj[1:])):
+        if w.arrival_s + w.dwell_s >= nxt.arrival_s:  # no time left for the leg
+            raise ConfigError(f"{where}.trajectory[{i}]: arrival_s + dwell_s must come "
+                              f"before the next waypoint's arrival_s ({nxt.arrival_s})")
     belief_mean = d.get("belief_mean")
     pos_sigma, vel_sigma = (
         None if d.get(key) is None else _number(d[key], f"{where}.{key}", _NONNEGATIVE)

@@ -1,9 +1,11 @@
 """Node inference: sigma-point BP measurement update and the LS baseline.
 
 The measurement update stacks the agent state with the position beliefs of
-every measured neighbor, runs a single unscented Bayes update against the
-stacked range map, and marginalizes the agent block back out. The unscented
-transform is exact for linear maps, which pins down the correctness tests.
+the measured neighbors that are uncertain; a known (zero-covariance) position
+enters the range map as a constant, as in sigma-point BP. One unscented Bayes
+update, on the eigen square root, runs against the range map, and the agent
+block is marginalized back out. The unscented transform is exact for linear
+maps, which pins down the correctness tests.
 """
 
 from __future__ import annotations
@@ -71,16 +73,8 @@ class MeasurementBatch:
 
 
 def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
-    """Columns of a square root of scale * c; Cholesky with eigen fallback."""
-    m = scale * c
-    # A diagonal entry <= 0 (an anchor's zero-covariance block) makes a
-    # Cholesky pivot <= 0, so the factorization would fail; skip the attempt.
-    if not (m.diagonal() <= 0.0).any():
-        try:
-            return np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            pass
-    vals, vecs = np.linalg.eigh(symmetrize(m))
+    """Columns of the eigen square root V sqrt(D) of scale * c = V D V^T."""
+    vals, vecs = np.linalg.eigh(symmetrize(scale * c))
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     if vals[0] < -tol:
         raise NumericFailureError(
@@ -157,25 +151,29 @@ def build_stacked_prior(
     prior: GaussianBelief, batch: MeasurementBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal stacked prior (mean, covariance): own (predicted) state,
-    then neighbor positions."""
-    blocks_mu = [prior.mean] + [e.mu_p for e in batch.entries]
-    mean = np.concatenate(blocks_mu)
-    dim = mean.shape[0]
-    cov = np.zeros((dim, dim))
+    then the positions of the neighbors whose covariance is nonzero."""
+    uncertain = [e for e in batch.entries if e.c_p.any()]
+    mean = np.concatenate([prior.mean] + [e.mu_p for e in uncertain])
+    cov = np.zeros((mean.shape[0],) * 2)
     cov[: prior.dim, : prior.dim] = prior.covariance
-    off = prior.dim
-    for e in batch.entries:
+    for i, e in enumerate(uncertain):
+        off = prior.dim + 3 * i
         cov[off : off + 3, off : off + 3] = e.c_p
-        off += 3
     return mean, cov
 
 
-def _stacked_ranges(points: np.ndarray, state_dim: int, n_neighbors: int) -> np.ndarray:
-    """Ranges from the own position to each neighbor, one row per stacked state."""
+def _stacked_ranges(points: np.ndarray, state_dim: int, batch: MeasurementBatch) -> np.ndarray:
+    """Ranges from the own position to each neighbor, one row per stacked state;
+    a known neighbor sits at its mu_p, an uncertain one at its stacked block."""
     p = points[:, :3]
-    out = np.empty((points.shape[0], n_neighbors))
-    for i in range(n_neighbors):
-        d = p - points[:, state_dim + 3 * i : state_dim + 3 * i + 3]
+    out = np.empty((points.shape[0], len(batch)))
+    off = state_dim
+    for i, e in enumerate(batch.entries):
+        if e.c_p.any():
+            d = p - points[:, off : off + 3]
+            off += 3
+        else:
+            d = p - e.mu_p
         # Row-wise d @ d through matmul reduces with the same dot kernel
         # as np.linalg.norm, so each range equals norm(d_row) bit for bit.
         out[:, i] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
@@ -185,7 +183,7 @@ def _stacked_ranges(points: np.ndarray, state_dim: int, n_neighbors: int) -> np.
 def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelief:
     """Sigma-point measurement update of an already-predicted belief.
 
-    Stacks the neighbor position beliefs, updates against the stacked range
+    Stacks the uncertain neighbor position beliefs, updates against the range
     measurements, and marginalizes the own-state block. Empty batches are the
     caller's responsibility (the prediction is already the belief).
     """
@@ -195,7 +193,7 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
     sp = generate_sigma_points(mean, cov)
-    zp = _stacked_ranges(sp.points, prior.dim, len(batch))
+    zp = _stacked_ranges(sp.points, prior.dim, batch)
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
     return GaussianBelief(post_mean[:nx], symmetrize(post_cov[:nx, :nx]))

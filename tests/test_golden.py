@@ -34,7 +34,7 @@ GOLDEN = {
     ("single_floor_inference", "BP-AL-UN", None):
         "91c743adaef251134f8cb1df809b50542f92f11cf44c79ec438db6a1f7335d1e",
     ("two_agent_cooperation", None, None):
-        "198b88cb860ae5d6a8d4e22a28b9aa270bb8900dce2c0746acf5268bff74ea58",
+        "9f7b707aa5cd4a27efc0a41470987e41f0fdba8dfb8687003380aed6f172c879",
     ("two_agent_cooperation", None, False):
         "6c66de8e8f174d04c2561a2c117df1ff8d05de2ad0cbc0e1b2910c567df0c317",
     ("three_agent_activation", "BP-CS-UN", None):
@@ -78,7 +78,8 @@ def golden_run(name, acronym, allow_agent):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=repr)
 def test_fingerprint_unchanged(case):
-    assert fingerprint(golden_run(*case)) == GOLDEN[case]
+    got = fingerprint(golden_run(*case))
+    assert got == GOLDEN[case], f"GOLDEN[{case!r}] is now {got}"
 
 
 SHORT_RANGE_M = 9.0
@@ -94,17 +95,17 @@ SHORT_RANGE = {
     ("three_agent_activation", "BP-HT-UN"):
         "997edc3c9c8cb2a6db8a200e95e76b83ba1107de0a56491c7e01f9f8d895f6de",
     ("three_agent_activation", "BP-HT-CP"):
-        "0bf34d6aa92baa93e6169149b61bc4c640a668f4cbddcf2e054b5088c242c15b",
+        "2d053293d55ecab945d91f2c51da5fbd39f7183a10d353386821addb42eb8fca",
     ("two_agent_cooperation", "LS-AL-UN"):
         "4896aaf5aaffa9b84878e390b45eede7b36c7455ae1ea9e66c8cd5a6ed9a6282",
     ("two_agent_cooperation", "BP-AL-UN"):
-        "31860761ea31eefd109d91cf213f0be84854a07d6366c4eb7669d5a0b690544c",
+        "6d28f32dd6cedf004d3170c0394fdb6ab57abae3282e29d4aee60aad83cd9d38",
     ("two_agent_cooperation", "BP-CS-UN"):
-        "5d072bf4f497010cd6e56a92b6364bf868997e5da035bd3ae154c5f7f46a2510",
+        "518cce361523f8a5760b072e7959da7df2ff61a7f661ca0a60015e986a84863c",
     ("two_agent_cooperation", "BP-HT-UN"):
-        "e5a2cc72b2d9916a65805d5b1e15c2fe2fab04e47550c169ab88176fecefddc9",
+        "e639faf75fee51075b621512e57dd94588c1390359192d5ef46ccaebc79aba6a",
     ("two_agent_cooperation", "BP-HT-CP"):
-        "3a8c7ead785b7d60e8feb3862a4d03e4ee50b4ab2f28d2936ed821f418d0836b",
+        "e4a7344045435096b288a1b779d3d528a7e28de867588ddb7edeb40bd668b13b",
 }
 
 
@@ -120,4 +121,5 @@ def short_range_run(name, acronym):
 
 @pytest.mark.parametrize("case", sorted(SHORT_RANGE), ids=repr)
 def test_short_range_fingerprint_unchanged(case):
-    assert fingerprint(short_range_run(*case)) == SHORT_RANGE[case]
+    got = fingerprint(short_range_run(*case))
+    assert got == SHORT_RANGE[case], f"SHORT_RANGE[{case!r}] is now {got}"

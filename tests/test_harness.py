@@ -233,6 +233,17 @@ class TestScenarioConfig:
         ({"anchors": [{"id": 1, "position": [0, 0, 0], "label": 7}]}, r"anchors\[0\]\.label"),
         ({"agents": [{"id": 10, "initial_position": [1, 1, 1], "label": {"x": 1}}]},
          r"agents\[0\]\.label"),
+        # A waypoint left at or after the next arrival (a long dwell, or
+        # arrivals out of order) would make the position jump.
+        ({"agents": [{"id": 10, "initial_position": [1, 1, 1], "trajectory": [
+            {"position": [1, 1, 1], "arrival_s": 0},
+            {"position": [2, 2, 1], "arrival_s": 2, "dwell_s": 5},
+            {"position": [3, 1, 1], "arrival_s": 4}]}]},
+         r"agents\[0\]\.trajectory\[1\]: arrival_s \+ dwell_s"),
+        ({"agents": [{"id": 10, "initial_position": [1, 1, 1], "trajectory": [
+            {"position": [1, 1, 1], "arrival_s": 3},
+            {"position": [2, 2, 1], "arrival_s": 2}]}]},
+         r"agents\[0\]\.trajectory\[0\]: arrival_s \+ dwell_s"),
     ])
     def test_unusable_value_named(self, patch, key):
         with pytest.raises(ConfigError, match=key):

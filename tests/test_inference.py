@@ -145,41 +145,90 @@ class TestGridOracle:
         assert np.all(np.diag(c_p) > 0)
 
 
+def random_batch(rng, n, p_uncertain):
+    """n range entries; each neighbor is an agent with a random SPD position
+    covariance with probability p_uncertain, else a known anchor."""
+    entries = []
+    for i in range(n):
+        c_p = (random_spd(rng, 3, rng.uniform(0.01, 1.0))
+               if rng.random() < p_uncertain else np.zeros((3, 3)))
+        entries.append(MeasurementEntry(
+            i, float(rng.uniform(0.5, 15)), float(rng.uniform(1e-4, 1.0)),
+            rng.uniform(-10, 10, size=3), c_p,
+        ))
+    return MeasurementBatch(tuple(entries))
+
+
 class TestSpbpUpdate:
     def test_batched_range_map_matches_norm_bit_for_bit(self):
+        # Known neighbors enter as their constant mu_p, uncertain ones as the
+        # next stacked block; every range equals np.linalg.norm bit for bit.
         rng = np.random.default_rng(12)
         for n in (1, 2, 4, 6):
-            points = rng.normal(size=(2 * (6 + 3 * n) + 1, 6 + 3 * n)) * 5.0
-            got = _stacked_ranges(points, 6, n)
-            want = np.array([
-                [np.linalg.norm(x[:3] - x[6 + 3 * i : 9 + 3 * i]) for i in range(n)]
-                for x in points
-            ])
-            assert np.array_equal(got, want)
+            for p_uncertain in (0.0, 0.5, 1.0):
+                batch = random_batch(rng, n, p_uncertain)
+                blocks, k = [], 0
+                for e in batch.entries:
+                    known = not e.c_p.any()
+                    blocks.append(None if known else slice(6 + 3 * k, 9 + 3 * k))
+                    k += not known
+                dim = 6 + 3 * k
+                points = rng.normal(size=(2 * dim + 1, dim)) * 5.0
+                got = _stacked_ranges(points, 6, batch)
+                want = np.array([
+                    [np.linalg.norm(x[:3] - (e.mu_p if blk is None else x[blk]))
+                     for e, blk in zip(batch.entries, blocks)]
+                    for x in points
+                ])
+                assert np.array_equal(got, want)
 
-    def test_singular_root_equals_eigen_root(self):
-        # A zero diagonal entry skips the (certain to fail) Cholesky attempt;
-        # the root must be the one the eigen fallback always produced.
+    def test_root_is_eigen_root(self):
+        # One root policy: SPD and singular covariances both take the eigen
+        # root V sqrt(D), and a covariance that is not PSD still raises.
         rng = np.random.default_rng(13)
         for _ in range(20):
-            c = np.zeros((9, 9))
-            c[:6, :6] = random_spd(rng, 6)
-            vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
-            want = vecs * np.sqrt(np.clip(vals, 0.0, None))
-            assert np.array_equal(_matrix_sqrt(c, 3.0), want)
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(3.0 * c)
+            singular = np.zeros((9, 9))
+            singular[:6, :6] = random_spd(rng, 6)
+            for c in (random_spd(rng, 9), singular):
+                vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
+                want = vecs * np.sqrt(np.clip(vals, 0.0, None))
+                assert np.array_equal(_matrix_sqrt(c, 3.0), want)
+        with pytest.raises(NumericFailureError) as err:
+            _matrix_sqrt(np.diag([1.0, 0.0, -0.5]), 3.0)
+        assert err.value.min_eigenvalue == pytest.approx(-1.5, rel=1e-6)
 
-    def _batch(self, rng, n):
-        entries = []
-        for i in range(n):
-            anchor = rng.uniform(-5, 5, size=3)
-            entries.append(
-                MeasurementEntry(
-                    i, float(rng.uniform(1, 10)), 0.01, anchor, np.zeros((3, 3))
-                )
+    @pytest.mark.parametrize("p_uncertain", [0.0, 0.5])
+    def test_matches_full_stack_update(self, p_uncertain):
+        # Oracle: the generic sigma_point_update on the full stack, with each
+        # anchor as a zero-covariance block and h written out with norm. With
+        # kappa = 3 - L, a zero block's sigma points sit on the centre, so
+        # leaving anchors out of the stack is the same estimator.
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            prior = GaussianBelief(rng.normal(size=6) * 3.0,
+                                   random_spd(rng, 6, rng.uniform(0.01, 2.0)))
+            batch = random_batch(rng, n, p_uncertain)
+            dim = 6 + 3 * n
+            mean = np.concatenate([prior.mean] + [e.mu_p for e in batch.entries])
+            cov = np.zeros((dim, dim))
+            cov[:6, :6] = prior.covariance
+            for i, e in enumerate(batch.entries):
+                cov[6 + 3 * i : 9 + 3 * i, 6 + 3 * i : 9 + 3 * i] = e.c_p
+
+            def h(x):
+                return np.array([np.linalg.norm(x[:3] - x[6 + 3 * i : 9 + 3 * i])
+                                 for i in range(n)])
+
+            want_mean, want_cov, _ = sigma_point_update(
+                mean, cov, h, [e.z for e in batch.entries],
+                np.diag([e.variance for e in batch.entries]),
             )
-        return MeasurementBatch(tuple(entries))
+            got = spbp_update(prior, batch)
+            assert np.linalg.norm(got.mean - want_mean[:6]) <= (
+                1e-12 * np.linalg.norm(want_mean[:6]))
+            assert np.linalg.norm(got.covariance - want_cov[:6, :6]) <= (
+                1e-12 * np.linalg.norm(want_cov[:6, :6]))
 
     def test_empty_batch_rejected(self):
         prior = GaussianBelief(np.zeros(6), np.eye(6))
@@ -192,23 +241,29 @@ class TestSpbpUpdate:
             MeasurementBatch((e, e))
 
     def test_stacked_prior_block_diagonal(self):
+        # The own state, then only the uncertain neighbors' positions, in
+        # batch order; known positions stack no block.
         rng = np.random.default_rng(4)
         prior = GaussianBelief(rng.normal(size=6), random_spd(rng, 6))
-        batch = self._batch(rng, 3)
-        mean, cov = build_stacked_prior(prior, batch)
-        assert mean.shape == (6 + 9,) and cov.shape == (6 + 9, 6 + 9)
-        assert np.array_equal(mean[:6], prior.mean)
-        assert np.allclose(cov[:6, :6], prior.covariance)
-        assert np.allclose(cov[:6, 6:], 0.0)
-        for i, e in enumerate(batch.entries):
-            blk = slice(6 + 3 * i, 9 + 3 * i)
-            assert np.array_equal(mean[blk], e.mu_p)
-            assert np.allclose(cov[blk, blk], e.c_p)
+        for p_uncertain in (0.0, 0.5, 1.0):
+            batch = random_batch(rng, 5, p_uncertain)
+            uncertain = [e for e in batch.entries if e.c_p.any()]
+            dim = 6 + 3 * len(uncertain)
+            mean, cov = build_stacked_prior(prior, batch)
+            assert mean.shape == (dim,) and cov.shape == (dim, dim)
+            assert np.array_equal(mean[:6], prior.mean)
+            assert np.allclose(cov[:6, :6], prior.covariance)
+            assert np.allclose(cov[:6, 6:], 0.0)
+            for i, e in enumerate(uncertain):
+                blk = slice(6 + 3 * i, 9 + 3 * i)
+                assert np.array_equal(mean[blk], e.mu_p)
+                assert np.allclose(cov[blk, blk], e.c_p)
+                assert np.allclose(np.delete(cov[blk], blk, axis=1), 0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         prior = GaussianBelief(rng.normal(size=6), random_spd(rng, 6))
-        batch = self._batch(rng, 4)
+        batch = random_batch(rng, 6, 0.5)
         fwd = spbp_update(prior, batch)
         rev = spbp_update(prior, MeasurementBatch(tuple(reversed(batch.entries))))
         assert np.allclose(fwd.mean, rev.mean, atol=1e-9)
@@ -282,17 +337,8 @@ class TestLs:
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_posterior_covariance_psd(n, seed):
+    # Anchors and agents alike: each neighbor is uncertain with probability 1/2.
     rng = np.random.default_rng(seed)
     prior = GaussianBelief(rng.normal(size=6), random_spd(rng, 6))
-    entries = tuple(
-        MeasurementEntry(
-            i,
-            float(rng.uniform(0.5, 15)),
-            float(rng.uniform(1e-4, 1.0)),
-            rng.uniform(-10, 10, size=3),
-            np.zeros((3, 3)),
-        )
-        for i in range(n)
-    )
-    post = spbp_update(prior, MeasurementBatch(entries))
+    post = spbp_update(prior, random_batch(rng, n, 0.5))
     assert post.is_psd()
