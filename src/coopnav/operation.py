@@ -3,8 +3,10 @@ threshold activation rule, and measurement-count allocation.
 
 The allocation solver works on the continuous relaxation of the integer
 program (minimize the predicted position-covariance trace subject to a
-measurement budget) with projected gradient descent, then rounds. An exact
-enumeration oracle is provided for small instances.
+measurement budget) with spectral (Barzilai-Borwein) projected gradient,
+stopped when the Frank-Wolfe duality gap certifies the relaxed objective to a
+relative PG_GAP_TOL, then rounds. An exact enumeration oracle is provided for
+small instances.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ class AllocationResult:
     objective: float | None  # predicted covariance trace at m; None if not computed
     relaxed_m: np.ndarray | None = None
     relaxed_objective: float | None = None
+    # The relaxation's duality gap is within PG_GAP_TOL of relaxed_objective,
+    # or relaxed_m is stationary to float precision.
     converged: bool = True
     fallback: bool = False
 
@@ -220,9 +224,9 @@ def htna_decide(problem: AllocationProblem, proposal: AllocationResult, covarian
 # --- allocation solvers ------------------------------------------------------
 
 
-# Projected-gradient stopping rule of the allocation relaxation.
+# Stopping rule of the allocation relaxation's spectral projected gradient.
 PG_MAX_ITERS = 300
-PG_TOL = 1e-6  # on the projected-gradient norm, relative to the gradient's
+PG_GAP_TOL = 1e-6  # on the Frank-Wolfe duality gap, relative to the objective
 
 
 def _project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
@@ -257,32 +261,40 @@ def _pg_solve(problem: AllocationProblem, warm_start):
     else:
         m = np.full(n, budget / n)
     obj, grad = _objective_and_gradient(problem, m)
-    step = 1.0
-    converged = False
+    # Every gradient entry is <= 0. The first step moves the steepest count
+    # by the whole budget, whatever the scale of the covariances.
+    steepest = -float(grad.min())
+    step = budget / steepest if steepest > 0 else 1.0
     for _ in range(PG_MAX_ITERS):
-        pg = m - _project_capped_simplex(m - grad, budget)
-        # Relative tolerance: the projected-gradient norm bottoms out at
-        # round-off proportional to the gradient magnitude.
-        if _norm(pg) <= PG_TOL * (1.0 + _norm(grad)):
-            converged = True
-            break
-        # Backtracking line search on the projected step.
-        improved = False
+        # Frank-Wolfe duality gap: the objective is convex, so f(m) - f* <= gap
+        # (the linear minimum over the capped simplex is at 0 or at a vertex).
+        gap = float(grad @ m) - min(0.0, budget * float(grad.min()))
+        if gap <= PG_GAP_TOL * obj:
+            return m, obj, True
+        d = _project_capped_simplex(m - step * grad, budget) - m
+        slope = float(grad @ d)
+        if slope >= 0:
+            return m, obj, True
+        # Armijo backtracking along d; m + a d is a convex combination of
+        # feasible points, so it stays feasible.
+        a = 1.0
         for _ in range(60):
-            cand = _project_capped_simplex(m - step * grad, budget)
+            cand = m + a * d
             cand_obj, cand_grad = _objective_and_gradient(problem, cand)
-            if cand_obj <= obj - 1e-4 * float(grad @ (m - cand)):
-                m, obj, grad = cand, cand_obj, cand_grad
-                step = min(step * 2.0, 1e6)
-                improved = True
+            if cand_obj <= obj + 1e-4 * a * slope:
                 break
-            step *= 0.5
-        if not improved:
+            a *= 0.5
+        else:
             # The objective is convex, so a fully stalled line search means the
             # iterate is stationary to float precision.
-            converged = True
-            break
-    return m, obj, converged
+            return m, obj, True
+        # Barzilai-Borwein step for the next direction.
+        s = cand - m
+        sy = float(s @ (cand_grad - grad))
+        if sy > 0:
+            step = float(s @ s) / sy
+        m, obj, grad = cand, cand_obj, cand_grad
+    return m, obj, False
 
 
 def _round_largest_remainder(m: np.ndarray, budget: int) -> np.ndarray:
@@ -348,10 +360,12 @@ def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
 def cpnp_allocate(problem: AllocationProblem, *, warm_start=None) -> AllocationResult:
     """Measurement-count allocation minimizing the predicted covariance trace.
 
-    Solves the continuous relaxation by projected gradient descent (from
-    `warm_start`, one value per link, if given), rounds by largest remainder
-    under the budget, then applies a greedy single-unit improvement pass.
-    Falls back to uniform allocation on non-convergence.
+    Solves the continuous relaxation by spectral projected gradient (from
+    `warm_start`, one value per link, if given) until its duality gap is within
+    PG_GAP_TOL of the relaxed objective, rounds by largest remainder under the
+    budget, then applies a greedy single-unit improvement pass. Falls back to
+    uniform allocation if the relaxation does not converge in PG_MAX_ITERS
+    iterations.
     """
     n = len(problem.links)
     if n < 1:

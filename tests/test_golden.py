@@ -48,7 +48,7 @@ GOLDEN = {
     ("multi_floor", "BP-HT-UN", None):
         "c9c162e2895b0cd01a3acb79ac5f2c979fae853b72b66d0fa05c21a5191c5eea",
     ("multi_floor", "BP-HT-CP", None):
-        "c019b3cb4c2ac9bafc35f8b7de6f84847b1277ae04f6fd51008a09521701593a",
+        "a3101b8e3fa66474b6d332e4e6ec080453aedcaf0922aa944598db0b42d7c5f8",
 }
 
 
