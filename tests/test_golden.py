@@ -12,6 +12,9 @@ so no frame in those runs is ever out of range. SHORT_RANGE pins the range
 branch of the channel too: the two cooperative scenarios under all five
 acronyms with the range cut to 9 m, where many receptions, interferers and
 carrier senses fall out of range.
+
+FULL_DURATION hashes three whole runs at seed 1 (without the trace), so that
+state which builds up over a run beyond 5 s is pinned as well.
 """
 
 import dataclasses
@@ -123,3 +126,24 @@ def short_range_run(name, acronym):
 def test_short_range_fingerprint_unchanged(case):
     got = fingerprint(short_range_run(*case))
     assert got == SHORT_RANGE[case], f"SHORT_RANGE[{case!r}] is now {got}"
+
+
+# Full-duration runs without the trace: the state that builds up over a whole
+# run (caches, neighbor tables, warm starts) is pinned too.
+# (scenario, acronym) -> sha256 of records, counters and link counts, at SEED
+FULL_DURATION = {
+    ("three_agent_activation", "BP-CS-UN"):
+        "9af0d43267db01b2ec60393d2bd220159692cbc9ba54ae861839ec3a3fa0f9ec",
+    ("three_agent_activation", "BP-HT-UN"):
+        "77a370a4da585b335b3462953c41a71dc91110c0cbed1abd5f865401a67fea62",
+    ("multi_floor", "BP-HT-CP"):
+        "7aeed6ad8d712ffc0797f07253b783fd0020fe2d1b98e8b595d0da0ab6b7978d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_DURATION), ids=repr)
+def test_full_duration_fingerprint_unchanged(case):
+    name, acronym = case
+    scen = load_scenario(bundled_scenario_path(name)).with_algorithms(acronym)
+    got = fingerprint(run(scen, seed=SEED))
+    assert got == FULL_DURATION[case], f"FULL_DURATION[{case!r}] is now {got}"
