@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,8 +74,12 @@ class MeasurementBatch:
 
 
 def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
-    """Columns of the eigen square root V sqrt(D) of scale * c = V D V^T."""
-    vals, vecs = np.linalg.eigh(symmetrize(scale * c))
+    """Columns of the eigen square root V sqrt(D) of scale * c = V D V^T.
+
+    c must be exactly symmetric: eigh reads only the lower triangle, and
+    scale * c is then what symmetrize(scale * c) would give, bit for bit.
+    """
+    vals, vecs = np.linalg.eigh(scale * c)
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     if vals[0] < -tol:
         raise NumericFailureError(
@@ -84,37 +89,52 @@ def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
     return vecs * np.sqrt(vals.clip(0.0, None))
 
 
-def generate_sigma_points(mean, cov) -> SigmaPointSet:
-    """Standard scaled unscented sigma-point set for N(mean, cov)."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    dim = mean.shape[0]
+@lru_cache(maxsize=32)
+def _ut_weights(dim: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Spread scale L + lambda and the read-only mean and covariance weights
+    of the L = dim sigma-point set; they depend on L alone."""
     kappa = 3.0 - dim
     lam = UT_ALPHA * UT_ALPHA * (dim + kappa) - dim
-    root = _matrix_sqrt(cov, dim + lam)
-    points = np.empty((2 * dim + 1, dim))
-    points[0] = mean
-    points[1 : dim + 1] = mean + root.T
-    points[dim + 1 :] = mean - root.T
     wm = np.full(2 * dim + 1, 0.5 / (dim + lam))
     wc = wm.copy()
     wm[0] = lam / (dim + lam)
     wc[0] = wm[0] + (1.0 - UT_ALPHA * UT_ALPHA + UT_BETA)
+    wm.setflags(write=False)
+    wc.setflags(write=False)
+    return dim + lam, wm, wc
+
+
+def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
+    """generate_sigma_points for float arrays, cov exactly symmetric."""
+    dim = mean.shape[0]
+    scale, wm, wc = _ut_weights(dim)
+    root = _matrix_sqrt(cov, scale)
+    points = np.empty((2 * dim + 1, dim))
+    points[0] = mean
+    points[1 : dim + 1] = mean + root.T
+    points[dim + 1 :] = mean - root.T
     return SigmaPointSet(points, wm, wc)
+
+
+def generate_sigma_points(mean, cov) -> SigmaPointSet:
+    """Standard scaled unscented sigma-point set for N(mean, cov), cov
+    symmetrized first. The weights are shared read-only arrays."""
+    cov = symmetrize(np.asarray(cov, dtype=float))
+    return _sigma_points(np.asarray(mean, dtype=float), cov)
 
 
 def sigma_point_update(mean, cov, h, z, noise_cov):
     """Unscented Bayes update of N(mean, cov) against z = h(x) + noise.
 
-    Returns (mean', cov', diagnostics dict). The posterior covariance is
-    computed as cov - K S K^T, symmetrized, with negative eigenvalues
-    clamped at zero.
+    Returns (mean', cov', diagnostics dict). cov is symmetrized on entry.
+    The posterior covariance is computed as cov - K S K^T, symmetrized, with
+    negative eigenvalues clamped at zero.
     """
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    cov = symmetrize(np.asarray(cov, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    sp = generate_sigma_points(mean, cov)
+    sp = _sigma_points(mean, cov)
     zp = np.array([np.atleast_1d(h(x)) for x in sp.points])
     return _unscented_update(mean, cov, sp, zp, z, noise_cov)
 
@@ -151,14 +171,18 @@ def build_stacked_prior(
     prior: GaussianBelief, batch: MeasurementBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal stacked prior (mean, covariance): own (predicted) state,
-    then the positions of the neighbors whose covariance is nonzero."""
+    then the positions of the neighbors whose covariance is nonzero, each
+    block symmetrized. Without such neighbors it is the prior's own
+    read-only arrays."""
     uncertain = [e for e in batch.entries if e.c_p.any()]
+    if not uncertain:
+        return prior.mean, prior.covariance
     mean = np.concatenate([prior.mean] + [e.mu_p for e in uncertain])
     cov = np.zeros((mean.shape[0],) * 2)
     cov[: prior.dim, : prior.dim] = prior.covariance
     for i, e in enumerate(uncertain):
         off = prior.dim + 3 * i
-        cov[off : off + 3, off : off + 3] = e.c_p
+        cov[off : off + 3, off : off + 3] = symmetrize(e.c_p)
     return mean, cov
 
 
@@ -192,11 +216,11 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     mean, cov = build_stacked_prior(prior, batch)
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
-    sp = generate_sigma_points(mean, cov)
+    sp = _sigma_points(mean, cov)
     zp = _stacked_ranges(sp.points, prior.dim, batch)
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
-    return GaussianBelief(post_mean[:nx], symmetrize(post_cov[:nx, :nx]))
+    return GaussianBelief(post_mean[:nx], post_cov[:nx, :nx])  # already symmetric
 
 
 def marginalize_position(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ beliefs with exactly-zero covariance rather than a separate type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,10 +91,18 @@ class MotionModel:
                 raise InvalidArgumentError("driving-noise variances must be >= 0")
 
 
+# Distinct (model, dt) pairs whose motion matrices are kept. An agent's epoch
+# period is fixed, so its dt values repeat; the bound keeps memory flat.
+MOTION_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=MOTION_CACHE_SIZE)
 def motion_matrices(model: MotionModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix A(dt) and driving-noise covariance Cw(dt).
 
     A = [[I, dt I], [0, I]]; Cw = B(dt) Cu B(dt)^T with B = [[dt^2/2 I], [dt I]].
+    The result is memoised per (model, dt) and shared, so both arrays are
+    read-only; `motion_matrices.__wrapped__` computes them afresh.
     """
     if dt < 0:
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
@@ -109,6 +118,8 @@ def motion_matrices(model: MotionModel, dt: float) -> tuple[np.ndarray, np.ndarr
         for r in range(2):
             for c in range(2):
                 cw[3 * r + k, 3 * c + k] = (b[r] * cu * b[c] + b[c] * cu * b[r]) / 2.0
+    a.setflags(write=False)
+    cw.setflags(write=False)
     return a, cw
 
 

@@ -23,6 +23,15 @@ from .model import MotionModel, motion_matrices, symmetrize
 
 
 def _frozen(a) -> np.ndarray:
+    """A read-only float array equal to a. An array that nothing can write,
+    being read-only down its whole base chain, is returned itself; anything
+    else is copied (a read-only view of a writeable array can still change)."""
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        b = a
+        while type(b) is np.ndarray and not b.flags.writeable:
+            b = b.base
+        if b is None:
+            return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -35,12 +44,14 @@ def _norm(v: np.ndarray) -> float:
 
 
 def unit_direction(mu_j, mu_k) -> np.ndarray:
-    """Unit vector from mu_j toward mu_k."""
+    """Unit vector from mu_j toward mu_k, as a new read-only array."""
     d = np.asarray(mu_k, dtype=float) - np.asarray(mu_j, dtype=float)
     n = _norm(d)
     if n <= 1e-9:
         raise DegenerateGeometryError("coincident position means")
-    return d / n
+    u = d / n
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,8 @@ class LinkInfo:
     c_pk: np.ndarray  # neighbor position covariance (3, 3)
 
     def __post_init__(self):
-        # Private read-only copies, so the constants an AllocationProblem
-        # derives from them stay valid.
+        # Read-only arrays that nothing can change (copies where needed), so
+        # the constants an AllocationProblem derives from them stay valid.
         u = _frozen(self.u)
         c = _frozen(self.c_pk)
         if abs(_norm(u) - 1.0) > 1e-9:
@@ -93,8 +104,10 @@ class AllocationProblem:
         ids = [l.neighbor for l in links]
         if len(set(ids)) != len(ids):
             raise InvalidArgumentError("links must address distinct neighbors")
-        # Read-only, so the cached prior information below stays valid.
-        object.__setattr__(self, "c_pj", _frozen(c))
+        # Read-only (symmetrize made a new array), so the cached prior
+        # information below stays valid.
+        c.setflags(write=False)
+        object.__setattr__(self, "c_pj", c)
         object.__setattr__(self, "links", links)
 
     @cached_property

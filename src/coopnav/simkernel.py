@@ -447,8 +447,13 @@ class Simulation:
         start = self.now
         msg.tx_ts = node.clock.ticks(start)
         tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
-        self.channel.prune(start, self._channel_horizon)
-        self.channel.add(tx)
+        # A frame still in the air started at or after start - horizon, so a
+        # frame that ended by then overlaps no live or later frame and no sense
+        # window: pruning once the oldest frame has expired is enough.
+        channel = self.channel
+        if channel.recent and channel.recent[0].end <= start - self._channel_horizon:
+            channel.prune(start, self._channel_horizon)
+        channel.add(tx)
         self.counters["transmissions"] += 1
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
@@ -470,14 +475,20 @@ class Simulation:
         for other in self._moving:
             receivers[other.nid] = self._position(other, end)
         outcomes = arbitrate(self.channel, tx, receivers, self._comm_range, self._blocked)
-        counters, trace, nodes = self.counters, self.trace, self.nodes
+        trace, nodes = self.trace, self.nodes
         delivered = []
+        collided = 0
         for nid, (outcome, dist) in outcomes.items():
-            counters[outcome] += 1
             if trace is not None:
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
             if outcome == "delivered":
                 delivered.append((nodes[nid], dist))
+            elif outcome == "collided":
+                collided += 1
+        counters = self.counters
+        counters["delivered"] += len(delivered)
+        counters["collided"] += collided
+        counters["out-of-range"] += len(outcomes) - len(delivered) - collided
         if not delivered:
             return
         # Channel sounding draws one lognormal gain per delivery, in receiver
@@ -639,7 +650,9 @@ class Simulation:
 
     def _prioritize(self, agent: _Node):
         neighbors = self._eligible_neighbors(agent)
-        mu_p, c_p = inference.marginalize_position(agent.belief)
+        # Read-only views of the belief: the problem and links copy nothing
+        # that cannot change.
+        mu_p, c_p = agent.belief.mean[:3], agent.belief.covariance[:3, :3]
         links = []
         for nid in neighbors:
             entry = agent.table.entries[nid]
