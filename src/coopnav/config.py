@@ -53,6 +53,13 @@ class AgentSpec:
     vel_sigma: float | None = None
     label: str | None = None
 
+    def __post_init__(self):
+        traj = self.trajectory
+        for i, (w, nxt) in enumerate(zip(traj, traj[1:])):
+            if w.arrival_s + w.dwell_s >= nxt.arrival_s:  # no time left for the leg
+                raise ConfigError(f"trajectory[{i}]: arrival_s + dwell_s must come "
+                                  f"before the next waypoint's arrival_s ({nxt.arrival_s})")
+
 
 @dataclass(frozen=True)
 class LinkTruthConfig:
@@ -229,16 +236,12 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
         _parse_waypoint(w, f"{where}.trajectory[{i}]")
         for i, w in enumerate(_list(d.get("trajectory", []), f"{where}.trajectory"))
     )
-    for i, (w, nxt) in enumerate(zip(traj, traj[1:])):
-        if w.arrival_s + w.dwell_s >= nxt.arrival_s:  # no time left for the leg
-            raise ConfigError(f"{where}.trajectory[{i}]: arrival_s + dwell_s must come "
-                              f"before the next waypoint's arrival_s ({nxt.arrival_s})")
     belief_mean = d.get("belief_mean")
     pos_sigma, vel_sigma = (
         None if d.get(key) is None else _number(d[key], f"{where}.{key}", _NONNEGATIVE)
         for key in ("pos_sigma", "vel_sigma")
     )
-    return AgentSpec(
+    fields = dict(
         id=_number(d["id"], f"{where}.id", integer=True),
         initial_position=_vec(d["initial_position"], 3, f"{where}.initial_position"),
         trajectory=traj,
@@ -247,6 +250,10 @@ def _parse_agent(d: dict, idx: int) -> AgentSpec:
         vel_sigma=vel_sigma,
         label=_string(d.get("label"), f"{where}.label", optional=True),
     )
+    try:
+        return AgentSpec(**fields)
+    except ConfigError as err:  # the trajectory check, named within the file
+        raise ConfigError(f"{where}.{err}") from None
 
 
 def _parse_enum(value, allowed, where) -> str:

@@ -5,7 +5,9 @@ import pytest
 
 from coopnav.config import (
     ACRONYMS,
+    AgentSpec,
     ScenarioConfig,
+    Waypoint,
     bundled_scenario_path,
     load_scenario,
     save_scenario,
@@ -248,6 +250,16 @@ class TestScenarioConfig:
     def test_unusable_value_named(self, patch, key):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict({**MINIMAL, **patch})
+
+    def test_overlapping_dwell_rejected_through_api(self):
+        # The rule holds for agents built in code too, not only for JSON: this
+        # dwell (2 s + 5 s) outlasts the next arrival at 4 s.
+        with pytest.raises(ConfigError, match=r"^trajectory\[0\]: arrival_s \+ dwell_s"):
+            AgentSpec(10, (4.7, 2.3, 1.1), trajectory=(
+                Waypoint((0.1, 0.2, 0.3), 2.0, 5.0),
+                Waypoint((1.1, 4.7, 0.3), 4.0, 1.0),
+                Waypoint((2.3, 0.1, 0.2), 8.0, 2.0),
+            ))
 
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)

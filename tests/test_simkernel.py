@@ -128,14 +128,14 @@ class TestPositionCache:
     @pytest.mark.parametrize("sim", [
         # multi_floor's agent: six waypoints with dwells, across two floors
         lambda: Simulation(load_scenario(bundled_scenario_path("multi_floor")), seed=0),
-        # A dwell that outlasts the next waypoint's dwell, so the scan skips a
-        # piece; coordinates where p0 + (p1 - p0) != p1 in floating point.
+        # Dwells and legs with coordinates where p0 + (p1 - p0) != p1 in
+        # floating point (the y of the second leg).
         lambda: Simulation(small_scenario(agents=(AgentSpec(10, (4.7, 2.3, 1.1), trajectory=(
-            Waypoint((0.1, 0.2, 0.3), 2.0, 5.0),
+            Waypoint((0.1, 0.2, 0.3), 2.0, 1.5),
             Waypoint((1.1, 4.7, 0.3), 4.0, 1.0),
             Waypoint((2.3, 0.1, 0.2), 8.0, 2.0),
         )),)), seed=0),
-    ], ids=["multi_floor", "overlapping-dwell"])
+    ], ids=["multi_floor", "float-legs"])
     def test_matches_mobility_position(self, sim):
         sim = sim()
         node = sim.nodes[10]
