@@ -80,13 +80,15 @@ def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
     scale * c is then what symmetrize(scale * c) would give, bit for bit.
     """
     vals, vecs = np.linalg.eigh(scale * c)
-    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    if vals[0] < -tol:
-        raise NumericFailureError(
-            f"covariance not PSD (min eigenvalue {vals[0]:.3e})",
-            min_eigenvalue=float(vals[0]),
-        )
-    return vecs * np.sqrt(vals.clip(0.0, None))
+    if not vals[0] > 0.0:  # else all are positive: the check passes, the clip is a no-op
+        tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+        if vals[0] < -tol:
+            raise NumericFailureError(
+                f"covariance not PSD (min eigenvalue {vals[0]:.3e})",
+                min_eigenvalue=float(vals[0]),
+            )
+        vals = vals.clip(0.0, None)
+    return vecs * np.sqrt(vals)
 
 
 @lru_cache(maxsize=32)
@@ -174,7 +176,7 @@ def build_stacked_prior(
     then the positions of the neighbors whose covariance is nonzero, each
     block symmetrized. Without such neighbors it is the prior's own
     read-only arrays."""
-    uncertain = [e for e in batch.entries if e.c_p.any()]
+    uncertain = [e for e in batch.entries if np.count_nonzero(e.c_p)]
     if not uncertain:
         return prior.mean, prior.covariance
     mean = np.concatenate([prior.mean] + [e.mu_p for e in uncertain])
@@ -193,7 +195,7 @@ def _stacked_ranges(points: np.ndarray, state_dim: int, batch: MeasurementBatch)
     out = np.empty((points.shape[0], len(batch)))
     off = state_dim
     for i, e in enumerate(batch.entries):
-        if e.c_p.any():
+        if np.count_nonzero(e.c_p):  # as c_p.any(), without its wrapper
             d = p - points[:, off : off + 3]
             off += 3
         else:

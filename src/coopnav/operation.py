@@ -22,6 +22,12 @@ from .errors import DegenerateGeometryError, InvalidArgumentError, NumericFailur
 from .model import MotionModel, motion_matrices, symmetrize
 
 
+def _lock(a: np.ndarray) -> np.ndarray:
+    """Make a new array read-only in place and return it."""
+    a.setflags(write=False)
+    return a
+
+
 def _frozen(a) -> np.ndarray:
     """A read-only float array equal to a. An array that nothing can write,
     being read-only down its whole base chain, is returned itself; anything
@@ -32,9 +38,7 @@ def _frozen(a) -> np.ndarray:
             b = b.base
         if b is None:
             return a
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+    return _lock(np.array(a, dtype=float))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -49,9 +53,7 @@ def unit_direction(mu_j, mu_k) -> np.ndarray:
     n = _norm(d)
     if n <= 1e-9:
         raise DegenerateGeometryError("coincident position means")
-    u = d / n
-    u.setflags(write=False)
-    return u
+    return _lock(d / n)
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,14 @@ class AllocationProblem:
             raise InvalidArgumentError("links must address distinct neighbors")
         # Read-only (symmetrize made a new array), so the cached prior
         # information below stays valid.
-        c.setflags(write=False)
-        object.__setattr__(self, "c_pj", c)
+        object.__setattr__(self, "c_pj", _lock(c))
         object.__setattr__(self, "links", links)
 
+    # Each array below is new, so making it read-only freezes no one else's.
     @cached_property
     def prior_information(self) -> np.ndarray:
         """C_pj^-1, regularized if C_pj is singular but nonzero."""
-        return _frozen(_inverse_prior(self.c_pj))
+        return _lock(_inverse_prior(self.c_pj))
 
     # Per-link constants in link order, used by every allocation objective.
     @cached_property
@@ -125,17 +127,17 @@ class AllocationProblem:
         """rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
         channel quality. Exactly 0 for anchors (C_pk = 0), where the product
         gives +-0 and every use (1 + m rho) the same value."""
-        return _frozen([l.xi * l.u @ l.c_pk @ l.u if l.c_pk.any() else 0.0
+        return _frozen([l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0
                          for l in self.links])
 
     @cached_property
     def us(self) -> np.ndarray:
-        return _frozen(np.reshape([l.u for l in self.links], (-1, 3)))
+        return _lock(np.array([l.u for l in self.links], dtype=float).reshape(-1, 3))
 
     @cached_property
     def uus(self) -> np.ndarray:
         """The outer products u u^T, (n, 3, 3)."""
-        return _frozen(self.us[:, :, None] * self.us[:, None, :])
+        return _lock(self.us[:, :, None] * self.us[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ class AllocationResult:
 
     def __post_init__(self):
         m = np.asarray(self.m)
-        if (m < 0).any():
+        if np.count_nonzero(m < 0):
             raise InvalidArgumentError("allocation counts must be >= 0")
         object.__setattr__(self, "m", m)
 

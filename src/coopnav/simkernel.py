@@ -778,6 +778,7 @@ class Simulation:
         activated = agent.in_hold
         agent.in_hold = False
         entries = []
+        n_meas = 0
         for nbr in sorted(agent.collected):
             # The table is purged only at the start of an epoch, so every
             # neighbor prioritized then still has its entry.
@@ -787,7 +788,7 @@ class Simulation:
             entries.append(
                 inference.MeasurementEntry(
                     neighbor=nbr,
-                    z=float(np.mean(ranges)),
+                    z=float(np.add.reduce(np.array(ranges)) / count),  # np.mean's sum
                     variance=measurement_variance(count, e.xi),
                     mu_p=e.mu_p,
                     c_p=e.cov[:3, :3],
@@ -795,7 +796,7 @@ class Simulation:
             )
             key = (agent.nid, nbr)
             self.link_counts[key] = self.link_counts.get(key, 0) + count
-        n_meas = sum(len(v) for v in agent.collected.values())
+            n_meas += count
         if self.scenario.algorithms.inference == "SPBP":
             if entries:
                 agent.belief = inference.spbp_update(

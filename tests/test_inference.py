@@ -73,6 +73,21 @@ class TestSigmaPoints:
             assert sp.cov_weights[0] == pytest.approx((3.0 - dim) / 3.0 + 2.0)
             assert np.allclose(sp.points[1 : dim + 1], np.sqrt(3.0) * np.eye(dim))
 
+    @pytest.mark.parametrize("dim", [3, 6, 9, 12])
+    def test_cached_weights_match_formula(self, dim):
+        kappa = 3.0 - dim
+        lam = 1.0 * 1.0 * (dim + kappa) - dim
+        wm = np.full(2 * dim + 1, 0.5 / (dim + lam))
+        wc = wm.copy()
+        wm[0] = lam / (dim + lam)
+        wc[0] = wm[0] + (1.0 - 1.0 * 1.0 + 2.0)
+        for _ in range(2):  # computed, then served from the cache
+            sp = generate_sigma_points(np.zeros(dim), np.eye(dim))
+            assert np.array_equal(sp.mean_weights, wm)
+            assert np.array_equal(sp.cov_weights, wc)
+            with pytest.raises(ValueError):
+                sp.mean_weights[0] = 0.0
+
     def test_non_psd_raises_with_min_eigenvalue(self):
         cov = np.diag([1.0, -0.5])
         with pytest.raises(NumericFailureError) as err:
@@ -196,6 +211,40 @@ class TestSpbpUpdate:
         with pytest.raises(NumericFailureError) as err:
             _matrix_sqrt(np.diag([1.0, 0.0, -0.5]), 3.0)
         assert err.value.min_eigenvalue == pytest.approx(-1.5, rel=1e-6)
+
+    def test_symmetric_root_needs_no_symmetrize(self):
+        # Oracle: the eigen root of the symmetrized copy, which _matrix_sqrt
+        # took before. Exactly symmetric inputs of every kind the update
+        # stacks (SPD over a wide range of scales, singular with zero blocks,
+        # all zero, tiny negative round-off) give it bit for bit.
+        rng = np.random.default_rng(29)
+        cases = [np.zeros((6, 6)), np.diag([4.0, 0.0, 1e-30, 2.0, 0.0, 1.0])]
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            c = random_spd(rng, n, 10.0 ** rng.uniform(-8, 4))
+            cases.append(c)
+            z = np.zeros((n + 3, n + 3))
+            z[:n, :n] = c
+            cases.append(z)
+            v = rng.normal(size=(n, 1))
+            cases.append(symmetrize(v @ v.T))  # rank one: eigenvalues near 0 of either sign
+        for c in cases:
+            assert np.array_equal(c, c.T)
+            vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
+            want = vecs * np.sqrt(np.clip(vals, 0.0, None))
+            assert np.array_equal(_matrix_sqrt(c, 3.0), want)
+
+    def test_update_symmetrizes_its_input(self):
+        # sigma_point_update takes any covariance and symmetrizes it once on
+        # entry: an asymmetric input updates as its symmetrized copy.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            cov = random_spd(rng, 4) + 1e-12 * rng.normal(size=(4, 4))
+            mean = rng.normal(size=4)
+            h = lambda x: np.array([x[0] * x[1], x[2]])
+            got = sigma_point_update(mean, cov, h, [0.3, 0.1], np.eye(2))
+            want = sigma_point_update(mean, symmetrize(cov), h, [0.3, 0.1], np.eye(2))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("p_uncertain", [0.0, 0.5])
     def test_matches_full_stack_update(self, p_uncertain):

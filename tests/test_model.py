@@ -54,6 +54,22 @@ class TestGaussianBelief:
         with pytest.raises(ValueError):
             b.covariance[0, 0] = 2.0
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (2, 4)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_named(self, where, bad):
+        # Reported as non-finite, not as asymmetric, wherever it sits.
+        cov = np.eye(STATE_DIM)
+        cov[where] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            GaussianBelief(np.zeros(STATE_DIM), cov)
+        cov[where[::-1]] = bad  # symmetric non-finite entries
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            GaussianBelief(np.zeros(STATE_DIM), cov)
+
+    def test_non_finite_mean_named(self):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            GaussianBelief(np.array([0.0, np.nan, 0, 0, 0, 0]), np.eye(STATE_DIM))
+
     def test_psd_check(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
         b = GaussianBelief(np.zeros(STATE_DIM), cov)
@@ -105,6 +121,22 @@ class TestMotion:
         a, cw = motion_matrices(model, dt)
         assert np.array_equal(a, a_ref)
         assert np.array_equal(cw, cw_ref)
+
+    # 0, a frame-scale time, a jittered epoch period, a tiny and a large dt
+    @pytest.mark.parametrize("dt", [0.0, 0.008, 0.025 * (1.0 + 0.1 * -0.3721), 1e-9, 10.0])
+    def test_memo_matches_uncached_formula_bit_for_bit(self, dt):
+        motion_matrices.cache_clear()
+        want_a, want_cw = motion_matrices.__wrapped__(DEFAULT_MOTION, dt)
+        for model in (DEFAULT_MOTION, MotionModel(0.06**2, 0.06**2, 0.02**2)):
+            a, cw = motion_matrices(model, dt)  # a miss, then hits
+            assert np.array_equal(a, want_a) and np.array_equal(cw, want_cw)
+            for m in (a, cw):
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+        assert motion_matrices.cache_info().hits == 1
+        # A model with other noise is another key.
+        _, cw = motion_matrices(MotionModel(1.0, 2.0, 3.0), dt)
+        assert np.array_equal(cw, motion_matrices.__wrapped__(MotionModel(1.0, 2.0, 3.0), dt)[1])
 
     def test_predict_moves_mean_with_velocity(self):
         mean = np.array([0.0, 0.0, 0.0, 1.0, -2.0, 0.5])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from coopnav import operation
 from coopnav.config import bundled_scenario_path, load_scenario
 from coopnav.errors import DegenerateGeometryError, InvalidArgumentError
-from coopnav.model import MotionModel, symmetrize
+from coopnav.model import GaussianBelief, MotionModel, symmetrize
 from coopnav.operation import (
     AllocationProblem,
     AllocationResult,
@@ -153,6 +153,50 @@ class TestDirections:
     def test_non_unit_link_rejected(self):
         with pytest.raises(InvalidArgumentError):
             LinkInfo(0, np.array([1.0, 1.0, 0.0]), 50.0, np.zeros((3, 3)))
+
+    def test_unit_direction_read_only(self):
+        u = unit_direction(np.zeros(3), np.array([3.0, 0.0, 4.0]))
+        with pytest.raises(ValueError):
+            u[0] = 1.0
+
+
+class TestFrozen:
+    """operation._frozen reuses only arrays that nothing can write."""
+
+    def test_copies_writeable_array(self):
+        a = np.arange(9.0).reshape(3, 3)
+        f = operation._frozen(a)
+        assert f is not a and np.array_equal(f, a) and not f.flags.writeable
+        a[0, 0] = 7.0
+        assert f[0, 0] == 0.0
+
+    def test_copies_read_only_view_of_writeable_array(self):
+        a = np.arange(36.0).reshape(6, 6)
+        v = a[:3, :3]
+        v.setflags(write=False)
+        f = operation._frozen(v)
+        assert f is not v and not f.flags.writeable
+        a[0, 0] = 7.0  # the view changes; the frozen copy does not
+        assert v[0, 0] == 7.0 and f[0, 0] == 0.0
+
+    def test_reuses_read_only_chain(self):
+        a = np.arange(36.0).reshape(6, 6).copy()
+        a.setflags(write=False)
+        v = a[:3, :3]
+        assert operation._frozen(a) is a
+        assert operation._frozen(v) is v
+        b = GaussianBelief(np.zeros(6), np.eye(6))
+        link = LinkInfo(0, unit_direction(np.zeros(3), np.ones(3)), 50.0,
+                        b.covariance[:3, :3])
+        assert link.c_pk.base is b.covariance
+
+    def test_converts_other_inputs(self):
+        i = np.arange(1, 4)
+        i.setflags(write=False)
+        for x in ([1, 2, 3], i, np.float32([1, 2, 3])):
+            f = operation._frozen(x)
+            assert f.dtype == np.float64 and not f.flags.writeable
+            assert np.array_equal(f, [1.0, 2.0, 3.0])
 
 
 def link_constants(link):
