@@ -222,7 +222,8 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     zp = _stacked_ranges(sp.points, prior.dim, batch)
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
-    return GaussianBelief(post_mean[:nx], post_cov[:nx, :nx])  # already symmetric
+    # _unscented_update returns post_cov symmetrized; so is its own block.
+    return GaussianBelief(post_mean[:nx], post_cov[:nx, :nx])
 
 
 def marginalize_position(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:

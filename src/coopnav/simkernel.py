@@ -650,8 +650,8 @@ class Simulation:
 
     def _prioritize(self, agent: _Node):
         neighbors = self._eligible_neighbors(agent)
-        # Read-only views of the belief: the problem and links copy nothing
-        # that cannot change.
+        # Read-only views of the belief serve: LinkInfo and AllocationProblem
+        # copy only arrays that could change under them.
         mu_p, c_p = agent.belief.mean[:3], agent.belief.covariance[:3, :3]
         links = []
         for nid in neighbors:
