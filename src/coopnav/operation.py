@@ -111,7 +111,6 @@ class AllocationProblem:
         object.__setattr__(self, "c_pj", _lock(c))
         object.__setattr__(self, "links", links)
 
-    # Each array below is new, so making it read-only freezes no one else's.
     @cached_property
     def prior_information(self) -> np.ndarray:
         """C_pj^-1, regularized if C_pj is singular but nonzero."""

@@ -128,9 +128,8 @@ def test_short_range_fingerprint_unchanged(case):
     assert got == SHORT_RANGE[case], f"SHORT_RANGE[{case!r}] is now {got}"
 
 
-# Full-duration runs without the trace: the state that builds up over a whole
-# run (caches, neighbor tables, warm starts) is pinned too.
-# (scenario, acronym) -> sha256 of records, counters and link counts, at SEED
+# (scenario, acronym) -> sha256 of a whole run's records, counters and link
+# counts, at SEED
 FULL_DURATION = {
     ("three_agent_activation", "BP-CS-UN"):
         "9af0d43267db01b2ec60393d2bd220159692cbc9ba54ae861839ec3a3fa0f9ec",

@@ -213,10 +213,10 @@ class TestSpbpUpdate:
         assert err.value.min_eigenvalue == pytest.approx(-1.5, rel=1e-6)
 
     def test_symmetric_root_needs_no_symmetrize(self):
-        # Oracle: the eigen root of the symmetrized copy, which _matrix_sqrt
-        # took before. Exactly symmetric inputs of every kind the update
-        # stacks (SPD over a wide range of scales, singular with zero blocks,
-        # all zero, tiny negative round-off) give it bit for bit.
+        # Oracle: the eigen root of the symmetrized copy. Exactly symmetric
+        # inputs of every kind the update stacks (SPD over a wide range of
+        # scales, singular with zero blocks, all zero, rank one with
+        # eigenvalues near 0 of either sign) give it bit for bit.
         rng = np.random.default_rng(29)
         cases = [np.zeros((6, 6)), np.diag([4.0, 0.0, 1e-30, 2.0, 0.0, 1.0])]
         for _ in range(300):
@@ -227,7 +227,7 @@ class TestSpbpUpdate:
             z[:n, :n] = c
             cases.append(z)
             v = rng.normal(size=(n, 1))
-            cases.append(symmetrize(v @ v.T))  # rank one: eigenvalues near 0 of either sign
+            cases.append(symmetrize(v @ v.T))
         for c in cases:
             assert np.array_equal(c, c.T)
             vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
