@@ -13,8 +13,9 @@ branch of the channel too: the two cooperative scenarios under all five
 acronyms with the range cut to 9 m, where many receptions, interferers and
 carrier senses fall out of range.
 
-FULL_DURATION hashes three whole runs at seed 1 (without the trace), so that
-state which builds up over a run beyond 5 s is pinned as well.
+FULL_DURATION hashes four whole runs at seed 1 (without the trace), so that
+state which builds up over a run beyond 5 s is pinned as well; the LS run
+pins the baseline's warm-started estimates over a whole run.
 """
 
 import dataclasses
@@ -137,6 +138,8 @@ FULL_DURATION = {
         "77a370a4da585b335b3462953c41a71dc91110c0cbed1abd5f865401a67fea62",
     ("multi_floor", "BP-HT-CP"):
         "7aeed6ad8d712ffc0797f07253b783fd0020fe2d1b98e8b595d0da0ab6b7978d",
+    ("single_floor_inference", "LS-AL-UN"):
+        "d2cdc4ac2665f17007698892df991922d644a2640e7a07dc99bc93e0b75f34d4",
 }
 
 
