@@ -232,24 +232,41 @@ def marginalize_position(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray
 
 
 def ls_estimate(prev, batch: MeasurementBatch) -> np.ndarray:
-    """Gradient descent on the squared range-residual cost, warm-started at prev."""
+    """Gradient descent on the squared range-residual cost, warm-started at prev.
+
+    A loop over floats: on 3-vectors, numpy's per-call overhead would cost
+    far more than the arithmetic. Each iteration takes d = p - a, |d| =
+    sqrt((dx*dx + dy*dy) + dz*dz), g = sum of 2 ((|d| - z) / |d|) d with 1
+    in place of a |d| <= 1e-12, then p - LS_STEP * g, in the order of the
+    numpy loop that the tests compare against (np.add.reduce sums a row in
+    that order). For one range the two give the same bits. With several,
+    numpy's matrix-vector product sums the terms of g in its own order, so
+    they differ by round-off (about 1e-14 m). The stopping and divergence
+    norms are summed as (x*x + y*y) + z*z, where numpy's v.dot(v) can differ
+    in the last bit: the two part only when a norm lies within a few ulps of
+    LS_TOL or LS_DIVERGENCE_NORM.
+    """
     if len(batch) < 1:
         raise InvalidArgumentError("LS requires at least one measurement")
-    p = np.array(prev, dtype=float)
-    anchors = np.array([e.mu_p for e in batch.entries])
-    zs = np.array([e.z for e in batch.entries])
-    # The norms below are spelled out as np.linalg.norm computes them (row
-    # norms: sqrt of the summed squares; vector norms: sqrt of the dot
-    # product), which skips its generic dispatch in this hot loop.
+    px, py, pz = map(float, prev)
+    ranges = [(*map(float, e.mu_p), float(e.z)) for e in batch.entries]
+    step, tol, limit = LS_STEP, LS_TOL, LS_DIVERGENCE_NORM
     for _ in range(LS_MAX_ITERS):
-        diff = p - anchors
-        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        safe = np.where(dists > 1e-12, dists, 1.0)
-        resid = dists - zs
-        grad = 2.0 * (resid / safe) @ diff
-        if math.sqrt(grad.dot(grad)) <= LS_TOL:
+        gx = gy = gz = 0.0
+        for ax, ay, az, z in ranges:
+            dx = px - ax
+            dy = py - ay
+            dz = pz - az
+            dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            w = 2.0 * ((dist - z) / (dist if dist > 1e-12 else 1.0))
+            gx += w * dx
+            gy += w * dy
+            gz += w * dz
+        if math.sqrt((gx * gx + gy * gy) + gz * gz) <= tol:
             break
-        p = p - LS_STEP * grad
-        if math.sqrt(p.dot(p)) > LS_DIVERGENCE_NORM:
+        px -= step * gx
+        py -= step * gy
+        pz -= step * gz
+        if math.sqrt((px * px + py * py) + pz * pz) > limit:
             raise EstimationFailureError("LS gradient descent diverged")
-    return p
+    return np.array([px, py, pz])

@@ -4,15 +4,22 @@ Oracles used here:
   * closed-form Kalman filter for linear measurement maps (the unscented
     transform is exact for linear h);
   * dense grid integration of the true nonlinear posterior;
-  * direct trilateration geometry for the LS estimator.
+  * direct trilateration geometry for the LS estimator, and its former
+    numpy loop (numpy_ls_estimate) for the scalar one.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coopnav.errors import InvalidArgumentError, NumericFailureError
+from coopnav.errors import EstimationFailureError, InvalidArgumentError, NumericFailureError
 from coopnav.inference import (
+    LS_DIVERGENCE_NORM,
+    LS_MAX_ITERS,
+    LS_STEP,
+    LS_TOL,
     _matrix_sqrt,
     _stacked_ranges,
     MeasurementBatch,
@@ -347,6 +354,104 @@ class TestSpbpUpdate:
             spbp_update(prior, MeasurementBatch((vague,))).covariance[:3, :3]
         )
         assert t_precise < t_vague
+
+
+def numpy_ls_estimate(prev, batch):
+    """Oracle: the LS gradient descent as a numpy loop over the stacked
+    ranges, as ls_estimate ran before it became a loop over floats. Returns
+    the estimate and the number of iterations taken."""
+    p = np.array(prev, dtype=float)
+    anchors = np.array([e.mu_p for e in batch.entries])
+    zs = np.array([e.z for e in batch.entries])
+    iters = 0
+    for iters in range(1, LS_MAX_ITERS + 1):
+        diff = p - anchors
+        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        safe = np.where(dists > 1e-12, dists, 1.0)
+        resid = dists - zs
+        grad = 2.0 * (resid / safe) @ diff
+        if math.sqrt(grad.dot(grad)) <= LS_TOL:
+            break
+        p = p - LS_STEP * grad
+        if math.sqrt(p.dot(p)) > LS_DIVERGENCE_NORM:
+            raise EstimationFailureError("diverged")
+    return p, iters
+
+
+def ls_entry(i, anchor, z):
+    return MeasurementEntry(i, float(z), 0.01, np.asarray(anchor, dtype=float), np.zeros((3, 3)))
+
+
+class TestLsMatchesNumpyLoop:
+    """ls_estimate against numpy_ls_estimate: the same bits for one range,
+    which is every LS batch of a uniform-prioritization run, and agreement
+    to round-off for several."""
+
+    @staticmethod
+    def assert_same_bits(start, batch):
+        want, iters = numpy_ls_estimate(start, batch)
+        got = ls_estimate(start, batch)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tobytes() == want.tobytes(), (got, want)
+        return iters
+
+    def test_one_range_stops_early(self):
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            truth = rng.uniform(0.0, 10.0, 3)
+            anchor = rng.uniform(0.0, 10.0, 3)
+            z = np.linalg.norm(truth - anchor) + rng.normal(0.0, 0.1)
+            start = truth + rng.normal(0.0, 0.5, 3)
+            batch = MeasurementBatch((ls_entry(0, anchor, z),))
+            assert self.assert_same_bits(start, batch) < LS_MAX_ITERS
+
+    def test_one_range_runs_to_the_cap(self):
+        # A negative range can never be met: the estimate swings across the
+        # anchor until the iterations run out.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            anchor = rng.uniform(0.0, 10.0, 3)
+            z = -rng.uniform(0.1, 2.0)
+            start = anchor + rng.normal(0.0, 1.0, 3)
+            batch = MeasurementBatch((ls_entry(0, anchor, z),))
+            assert self.assert_same_bits(start, batch) == LS_MAX_ITERS
+
+    def test_one_range_starting_on_the_anchor(self):
+        # |d| <= 1e-12 takes 1 in place of the range in the weight.
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            anchor = rng.uniform(0.0, 10.0, 3)
+            batch = MeasurementBatch((ls_entry(0, anchor, rng.uniform(0.5, 5.0)),))
+            self.assert_same_bits(anchor, batch)
+            self.assert_same_bits(anchor + rng.uniform(-1e-13, 1e-13, 3), batch)
+
+    def test_one_range_keeps_signed_zeros(self):
+        # numpy's product w @ d gives +0.0 for a -0.0 term: x stays -0.0.
+        batch = MeasurementBatch((ls_entry(0, np.zeros(3), 0.5),))
+        self.assert_same_bits(np.array([-0.0, 1.0, 1.0]), batch)
+
+    def test_one_range_divergence_raises_on_both(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            direction = rng.normal(size=3)
+            start = (LS_DIVERGENCE_NORM - rng.uniform(0.0, 1.0)) * direction / np.linalg.norm(direction)
+            batch = MeasurementBatch((ls_entry(0, np.zeros(3), 2.0 * LS_DIVERGENCE_NORM),))
+            with pytest.raises(EstimationFailureError):
+                numpy_ls_estimate(start, batch)
+            with pytest.raises(EstimationFailureError):
+                ls_estimate(start, batch)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_several_ranges_agree_to_round_off(self, n):
+        rng = np.random.default_rng(18 + n)
+        for _ in range(100):
+            truth = rng.uniform(0.0, 10.0, 3)
+            anchors = rng.uniform(0.0, 10.0, (n, 3))
+            zs = np.linalg.norm(truth - anchors, axis=1) + rng.normal(0.0, 0.1, n)
+            batch = MeasurementBatch(tuple(ls_entry(i, a, z) for i, (a, z) in enumerate(zip(anchors, zs))))
+            start = truth + rng.normal(0.0, 0.5, 3)
+            want, _ = numpy_ls_estimate(start, batch)
+            assert np.max(np.abs(ls_estimate(start, batch) - want)) <= 1e-12
 
 
 class TestLs:
