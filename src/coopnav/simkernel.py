@@ -141,16 +141,21 @@ class ChannelState:
     """Shared-channel bookkeeping used for collision arbitration."""
 
     def __init__(self):
-        self.recent: list[Transmission] = []
+        self.recent: deque[Transmission] = deque()  # in start order
 
     def add(self, tx: Transmission) -> None:
         self.recent.append(tx)
 
     def prune(self, now: float, horizon: float) -> None:
-        """Forget frames that ended `horizon` or more before `now`. A horizon
-        of at least the longest airtime keeps every frame that overlaps one
-        still in the air."""
-        self.recent = [t for t in self.recent if t.end > now - horizon]
+        """Forget the leading frames that ended `horizon` or more before
+        `now`. A horizon of at least the longest airtime keeps every frame
+        that overlaps one still in the air. A frame that has ended but sits
+        behind an earlier, longer frame stays until that frame goes: it
+        overlaps no frame still in the air and no later one either."""
+        recent = self.recent
+        cutoff = now - horizon
+        while recent and recent[0].end <= cutoff:
+            recent.popleft()
 
     def overlapping(self, tx: Transmission) -> list[Transmission]:
         return [
@@ -449,10 +454,9 @@ class Simulation:
         tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
         # A frame still in the air started at or after start - horizon, so a
         # frame that ended by then overlaps no live or later frame and no sense
-        # window: pruning once the oldest frame has expired is enough.
+        # window: pruning from the front of the start-ordered frames is enough.
         channel = self.channel
-        if channel.recent and channel.recent[0].end <= start - self._channel_horizon:
-            channel.prune(start, self._channel_horizon)
+        channel.prune(start, self._channel_horizon)
         channel.add(tx)
         self.counters["transmissions"] += 1
         # sensing nodes that hear the sender find the channel busy, in id order

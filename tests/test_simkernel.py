@@ -269,6 +269,13 @@ class TestChannelSounding:
             assert a.random() == b.random()
 
 
+class _EagerChannel(ChannelState):
+    """A channel that forgets every expired frame, wherever it sits."""
+
+    def prune(self, now, horizon):
+        self.recent = deque(t for t in self.recent if t.end > now - horizon)
+
+
 class TestChannelState:
     def test_prune_keeps_recent(self):
         ch = ChannelState()
@@ -276,6 +283,49 @@ class TestChannelState:
         ch.add(_tx(2, 1.0, 1.001, [0, 0, 0]))
         ch.prune(1.0, 0.005)
         assert [t.src for t in ch.recent] == [2]
+
+    def test_prune_stops_at_first_live_frame(self):
+        ch = ChannelState()
+        ch.add(_tx(1, 0.0, 0.01, [0, 0, 0]))
+        ch.add(_tx(2, 0.0005, 0.0007, [0, 0, 0]))  # ends long before frame 1
+        ch.prune(0.012, 0.01)
+        assert [t.src for t in ch.recent] == [1, 2]
+        ch.prune(0.0201, 0.01)
+        assert not ch.recent
+
+    @staticmethod
+    def run_frames(channel):
+        """Anchor 1 sends a 10 ms frame at 0 and anchor 2 a chirp inside it;
+        anchors 3 and 4 send overlapping chirps once that chirp has expired
+        but frame 1 has not, and anchor 2 chirps again once both have.
+        Agent 10 senses across the overlap and later in a quiet window.
+        Returns the trace, the sense callbacks and the senders on the
+        channel just after anchor 4's chirp went out."""
+        par = dataclasses.replace(Parameters(), msg_air_s=0.01)
+        a = CHIRP_AIR_S
+        frames = ((0.0, 1, par.msg_air_s), (0.0005, 2, a), (0.0115, 3, a),
+                  (0.0116, 4, a), (0.0205, 2, a))
+        sim = _frames_only(small_scenario(parameters=par), frames, collect_trace=True)
+        sim.channel = channel
+        calls, on_air = [], []
+        for start, window in ((0.0112, 0.002), (0.018, 0.001)):
+            sim._schedule(start, lambda w=window: sim._start_sense(
+                sim.nodes[10], w,
+                on_idle=lambda: calls.append(("idle", sim.now)),
+                on_busy=lambda: calls.append(("busy", sim.now)),
+            ))
+        sim._schedule(0.01165, lambda: on_air.extend(t.src for t in sim.channel.recent))
+        return sim.run().trace, calls, on_air
+
+    def test_ended_chirp_behind_long_frame_changes_no_outcome(self):
+        trace, calls, on_air = self.run_frames(ChannelState())
+        eager_trace, eager_calls, eager_on_air = self.run_frames(_EagerChannel())
+        assert on_air == [1, 2, 3, 4]  # the ended chirp waits behind frame 1
+        assert eager_on_air == [1, 3, 4]
+        assert trace == eager_trace
+        assert calls == eager_calls == [("busy", 0.0115), ("idle", 0.019)]
+        outcomes = {(src, outcome) for _t, _k, src, _d, outcome in trace}
+        assert {(1, "collided@10"), (3, "collided@10"), (2, "delivered@10")} <= outcomes
 
 
 class TestChannelSense:
