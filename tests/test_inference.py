@@ -4,8 +4,8 @@ Oracles used here:
   * closed-form Kalman filter for linear measurement maps (the unscented
     transform is exact for linear h);
   * dense grid integration of the true nonlinear posterior;
-  * direct trilateration geometry for the LS estimator, and its former
-    numpy loop (numpy_ls_estimate) for the scalar one.
+  * direct trilateration geometry for the LS estimator, and a numpy loop
+    of the same gradient descent (numpy_ls_estimate) for its float loop.
 """
 
 import math
@@ -358,8 +358,8 @@ class TestSpbpUpdate:
 
 def numpy_ls_estimate(prev, batch):
     """Oracle: the LS gradient descent as a numpy loop over the stacked
-    ranges, as ls_estimate ran before it became a loop over floats. Returns
-    the estimate and the number of iterations taken."""
+    ranges, whose one-range results ls_estimate must match bit for bit.
+    Returns the estimate and the number of iterations taken."""
     p = np.array(prev, dtype=float)
     anchors = np.array([e.mu_p for e in batch.entries])
     zs = np.array([e.z for e in batch.entries])
@@ -434,7 +434,8 @@ class TestLsMatchesNumpyLoop:
         rng = np.random.default_rng(17)
         for _ in range(20):
             direction = rng.normal(size=3)
-            start = (LS_DIVERGENCE_NORM - rng.uniform(0.0, 1.0)) * direction / np.linalg.norm(direction)
+            direction /= np.linalg.norm(direction)
+            start = (LS_DIVERGENCE_NORM - rng.uniform(0.0, 1.0)) * direction
             batch = MeasurementBatch((ls_entry(0, np.zeros(3), 2.0 * LS_DIVERGENCE_NORM),))
             with pytest.raises(EstimationFailureError):
                 numpy_ls_estimate(start, batch)
@@ -448,7 +449,9 @@ class TestLsMatchesNumpyLoop:
             truth = rng.uniform(0.0, 10.0, 3)
             anchors = rng.uniform(0.0, 10.0, (n, 3))
             zs = np.linalg.norm(truth - anchors, axis=1) + rng.normal(0.0, 0.1, n)
-            batch = MeasurementBatch(tuple(ls_entry(i, a, z) for i, (a, z) in enumerate(zip(anchors, zs))))
+            batch = MeasurementBatch(
+                tuple(ls_entry(i, a, z) for i, (a, z) in enumerate(zip(anchors, zs)))
+            )
             start = truth + rng.normal(0.0, 0.5, 3)
             want, _ = numpy_ls_estimate(start, batch)
             assert np.max(np.abs(ls_estimate(start, batch) - want)) <= 1e-12
