@@ -55,6 +55,9 @@ POS_SIGMA = 3.0
 VEL_SIGMA = 1.0
 M_PER_NEIGHBOR = 4  # measurements per epoch under uniform prioritization
 NLOS_BIAS_MEAN_M = 0.6  # mean of the exponential excess path of an NLOS link
+# A link with a moving end is fixed as heard only if its farthest waypoints
+# are this much inside the range: far more than the rounding of positions.
+FIXED_LINK_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -165,36 +168,41 @@ class ChannelState:
         ]
 
 
-def arbitrate(channel: ChannelState, tx: Transmission, receivers: dict,
+def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: dict,
               comm_range: float, blocked=frozenset()) -> dict:
     """Per-receiver outcome of a finished transmission.
 
-    receivers maps node id -> position; blocked holds link_key pairs that can
-    never communicate. Returns node id -> (outcome, distance to the sender),
-    in the order of `receivers`. A reception succeeds iff the receiver hears
-    the sender (see `hears`) and no other overlapping frame that it hears.
-    Radios are half duplex: a receiver's own overlapping frame always collides.
+    links is a fixed-link table: node id -> {other node id: heard}, where
+    heard is whether the two hear each other (see `hears`) wherever the run
+    cannot change it, and None where it depends on their positions. The
+    receivers are the sender's row, in its order. positions maps node id ->
+    position at the end of the frame; only the entries of nodes on an
+    undecided link are read. Returns node id -> outcome. A reception
+    succeeds iff the receiver hears the sender and no other overlapping
+    frame that it hears. Radios are half duplex: a receiver's own
+    overlapping frame always collides.
     """
     overlaps = channel.overlapping(tx)
     src = tx.src
-    sx, sy, sz = tx.src_pos
     out = {}
-    for nid, pos in receivers.items():
-        if nid == src:
+    for nid, heard in links[src].items():
+        if heard is None:
+            heard = hears(nid, src, _dist(positions[nid], tx.src_pos), comm_range, blocked)
+        if not heard:
+            out[nid] = "out-of-range"
             continue
-        dx = pos[0] - sx
-        dy = pos[1] - sy
-        dz = pos[2] - sz
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)  # as _dist, inlined
-        if not hears(nid, src, dist, comm_range, blocked):
-            out[nid] = ("out-of-range", dist)
-        elif overlaps and any(
-            o.src == nid or hears(nid, o.src, _dist(pos, o.src_pos), comm_range, blocked)
-            for o in overlaps
-        ):
-            out[nid] = ("collided", dist)
-        else:
-            out[nid] = ("delivered", dist)
+        outcome = "delivered"
+        for o in overlaps:
+            if o.src == nid:
+                outcome = "collided"
+                break
+            jams = links[o.src][nid]
+            if jams is None:
+                jams = hears(nid, o.src, _dist(positions[nid], o.src_pos), comm_range, blocked)
+            if jams:
+                outcome = "collided"
+                break
+        out[nid] = outcome
     return out
 
 
@@ -291,6 +299,9 @@ class _Node:
         self.timer_pending = False  # a _session_timeout event is queued
         self._summary = None  # (belief, its StateSummary)
         self.collected: dict = {}
+        # This epoch's links, (neighbor id, u, xi, neighbor position cov), as
+        # prioritization saw them, and their AllocationProblem once built.
+        self.links: list = []
         self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
@@ -347,10 +358,14 @@ class Simulation:
         self._any_nlos = bool(self._nlos_pairs) or self._nlos_cross_z is not None
         self._build_nodes()
         self._ordered = [self.nodes[nid] for nid in sorted(self.nodes)]
-        # Every node's position at the last frame end, in id order; only the
-        # moving nodes' entries change.
+        self._links = self._fixed_links()
+        # Positions at the last frame end, read only for undecided links: the
+        # moving nodes that have one are refreshed at every frame end.
         self._frame_pos = {n.nid: n.static_pos for n in self._ordered}
-        self._moving = [n for n in self._ordered if n.static_pos is None]
+        self._undecided_movers = [
+            n for n in self._ordered
+            if n.static_pos is None and None in self._links[n.nid].values()
+        ]
 
     # -- construction --------------------------------------------------------
 
@@ -392,6 +407,42 @@ class Simulation:
             first = chirp_scheduler(self.rng, par.chirp_mean_interval_s)
             if first < self.duration:
                 self._schedule(first, lambda n=node: self._chirp(n))
+
+    def _fixed_links(self) -> dict:
+        """The fixed-link table: node id -> {other node id: heard}, each row
+        in id order. heard is `hears` wherever the run cannot change it:
+        False for a blocked pair; for two static nodes, `hears` at their
+        positions; True for a pair with a mover whose farthest waypoints are
+        within the range less FIXED_LINK_MARGIN_M. Distance is convex, so no
+        two points of the two waypoint hulls lie farther apart than their
+        farthest vertices; the margin covers the rounding of interpolated
+        positions. Every other pair is None, decided at each use."""
+        comm_range, blocked = self._comm_range, self._blocked
+        reach = comm_range - FIXED_LINK_MARGIN_M
+        links = {n.nid: {} for n in self._ordered}
+        for i, a in enumerate(self._ordered):
+            for b in self._ordered[i + 1:]:
+                if link_key(a.nid, b.nid) in blocked:
+                    heard = False
+                elif a.static_pos is not None and b.static_pos is not None:
+                    dist = _dist(a.static_pos, b.static_pos)
+                    heard = hears(a.nid, b.nid, dist, comm_range, blocked)
+                elif all(_dist(p, q) <= reach for p, _a, _d in a.traj.waypoints
+                         for q, _a, _d in b.traj.waypoints):
+                    heard = True
+                else:
+                    heard = None
+                links[a.nid][b.nid] = links[b.nid][a.nid] = heard
+        return links
+
+    def _hears_now(self, a: _Node, b: int, b_pos: tuple, t: float) -> bool:
+        """Whether node a hears node b, at b_pos, at time t: the fixed entry
+        where the run decided it, else `hears` at a's position at t."""
+        heard = self._links[a.nid][b]
+        if heard is None:
+            dist = _dist(self._position(a, t), b_pos)
+            heard = hears(a.nid, b, dist, self._comm_range, self._blocked)
+        return heard
 
     def _draw_clock(self) -> ClockModel:
         offset = float(self.rng.uniform(0.0, self.par.clock_offset_max_s))
@@ -461,13 +512,11 @@ class Simulation:
         self.counters["transmissions"] += 1
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
-        for other in self._ordered if sensing else ():
-            on_busy = sensing.get(other.nid)
-            if on_busy is None or other is node:
-                continue
-            dist = _dist(self._position(other, start), tx.src_pos)
-            if hears(other.nid, node.nid, dist, self._comm_range, self._blocked):
-                del sensing[other.nid]
+        for nid in self._links[node.nid] if sensing else ():
+            on_busy = sensing.get(nid)
+            if on_busy is not None and self._hears_now(self.nodes[nid], node.nid,
+                                                       tx.src_pos, start):
+                del sensing[nid]
                 on_busy()
         self._schedule(tx.end, lambda: self._tx_end(tx))
         return tx
@@ -475,18 +524,19 @@ class Simulation:
     def _tx_end(self, tx: Transmission):
         end = tx.end
         msg = tx.msg
-        receivers = self._frame_pos  # arbitrate skips the sender
-        for other in self._moving:
-            receivers[other.nid] = self._position(other, end)
-        outcomes = arbitrate(self.channel, tx, receivers, self._comm_range, self._blocked)
+        positions = self._frame_pos
+        for other in self._undecided_movers:
+            positions[other.nid] = self._position(other, end)
+        outcomes = arbitrate(self.channel, tx, self._links, positions,
+                             self._comm_range, self._blocked)
         trace, nodes = self.trace, self.nodes
         delivered = []
         collided = 0
-        for nid, (outcome, dist) in outcomes.items():
+        for nid, outcome in outcomes.items():
             if trace is not None:
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
             if outcome == "delivered":
-                delivered.append((nodes[nid], dist))
+                delivered.append(nodes[nid])
             elif outcome == "collided":
                 collided += 1
         counters = self.counters
@@ -504,17 +554,18 @@ class Simulation:
         else:
             gains = [1.0] * len(delivered)
         any_nlos = self._any_nlos
-        for (node, dist), gain in zip(delivered, gains):
+        for node, gain in zip(delivered, gains):
             if not node.is_anchor:
                 # Anchors never run epochs, so nothing reads their neighbor tables.
                 xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gain)
                 neighbor_update(node.table, msg, end, xi=xi)
             if msg.dst == node.nid:  # chirps are broadcast (dst None)
-                self._receive(node, tx, dist)
+                self._receive(node, tx, _dist(self._position(node, end), tx.src_pos))
 
     def _receive(self, node: _Node, tx: Transmission, dist: float):
-        """A unicast frame addressed to `node` arrived intact. Only the
-        addressee reads the receive timestamp, so it is stamped in place."""
+        """A unicast frame addressed to `node`, `dist` from its sender, arrived
+        intact. Only the addressee reads the receive timestamp, so it is
+        stamped in place."""
         msg = tx.msg
         excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
         msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
@@ -619,9 +670,8 @@ class Simulation:
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
         agent.table.purge(t0, protocol.NEIGHBOR_EXPIRY_S)
-        problem, proposal = self._prioritize(agent)
-        agent.problem = problem
-        agent.proposal = proposal
+        agent.problem = None
+        agent.proposal = proposal = self._prioritize(agent)
         if proposal is None or proposal.total == 0:
             self._finalize(agent)
             return
@@ -653,43 +703,51 @@ class Simulation:
         return out
 
     def _prioritize(self, agent: _Node):
-        neighbors = self._eligible_neighbors(agent)
-        # Read-only views of the belief serve: LinkInfo and AllocationProblem
-        # copy only arrays that could change under them.
-        mu_p, c_p = agent.belief.mean[:3], agent.belief.covariance[:3, :3]
-        links = []
-        for nid in neighbors:
+        """Snapshot the agent's links into agent.links and propose how many
+        measurements to make on each, or return None if it has no link."""
+        mu_p = agent.belief.mean[:3]
+        links = agent.links = []
+        for nid in self._eligible_neighbors(agent):
             entry = agent.table.entries[nid]
             try:
                 u = operation.unit_direction(mu_p, entry.mu_p)
             except DegenerateGeometryError:
                 continue
-            links.append(operation.LinkInfo(nid, u, entry.xi, entry.cov[:3, :3]))
+            # The entry's arrays are read-only and never change, so the
+            # snapshot holds what a later neighbor update replaces.
+            links.append((nid, u, entry.xi, entry.cov[:3, :3]))
         if not links:
-            return None, None
+            return None
         if self.scenario.algorithms.prioritization == "UNIFORM":
-            problem = operation.AllocationProblem(c_p, tuple(links), M_PER_NEIGHBOR)
             pick = int(self.rng.integers(len(links)))
             m = np.zeros(len(links), dtype=int)
             m[pick] = M_PER_NEIGHBOR
-            return problem, operation.AllocationResult(m, None)  # see _htna_gate
-        problem = operation.AllocationProblem(c_p, tuple(links), self.par.budget)
+            return operation.AllocationResult(m, None)  # see _htna_gate
+        problem = agent.problem = self._allocation_problem(agent, self.par.budget)
         warm = np.array(
-            [agent.warm_alloc.get(l.neighbor, self.par.budget / len(links)) for l in links]
+            [agent.warm_alloc.get(l[0], self.par.budget / len(links)) for l in links]
         )
         result = operation.cpnp_allocate(problem, warm_start=warm)
         agent.warm_alloc = {
-            l.neighbor: float(v) for l, v in zip(links, result.relaxed_m)
+            l[0]: float(v) for l, v in zip(links, result.relaxed_m)
         }
-        return problem, result
+        return result
+
+    @staticmethod
+    def _allocation_problem(agent: _Node, budget: int) -> operation.AllocationProblem:
+        """The AllocationProblem of the agent's snapshot links. Its own
+        covariance is the belief's: an epoch changes the belief only at its
+        start and at _finalize. Read-only views of the belief serve: LinkInfo
+        and AllocationProblem copy only arrays that could change under them."""
+        links = tuple(operation.LinkInfo(*link) for link in agent.links)
+        return operation.AllocationProblem(agent.belief.covariance[:3, :3], links, budget)
 
     def _start_sense(self, agent: _Node, window: float, on_idle, on_busy):
         now = self.now
-        pos = self._position(agent, now)
         for tx in self.channel.recent:  # a frame already in the air
             if tx.src == agent.nid or not tx.start <= now < tx.end:
                 continue
-            if hears(agent.nid, tx.src, _dist(pos, tx.src_pos), self._comm_range, self._blocked):
+            if self._hears_now(agent, tx.src, tx.src_pos, now):
                 on_busy()
                 return
         self._sensing[agent.nid] = on_busy
@@ -722,7 +780,9 @@ class Simulation:
     def _htna_gate(self, agent: _Node):
         result = agent.proposal
         if result.objective is None:
-            # Only this gate reads the predicted trace of a uniform pick.
+            # Only this gate reads the allocation inputs and the predicted
+            # trace of a uniform pick.
+            agent.problem = self._allocation_problem(agent, M_PER_NEIGHBOR)
             obj = operation.predicted_covariance(agent.problem, result.m).trace()
             result = operation.AllocationResult(result.m, float(obj))
         dt_j = self.par.t_m_s * result.total
@@ -740,18 +800,17 @@ class Simulation:
             # responding to someone else right now; skip this epoch
             self._finalize(agent)
             return
-        pos = self._position(agent, self.now)
-        for other in self._ordered:
-            if other.in_hold and hears(agent.nid, other.nid,
-                                       _dist(pos, self._position(other, self.now)),
-                                       self._comm_range, self._blocked):
+        now, nodes = self.now, self.nodes
+        for nid in self._links[agent.nid]:  # agent itself is not holding
+            other = nodes[nid]
+            if other.in_hold and self._hears_now(agent, nid, self._position(other, now), now):
                 self.counters["subnet_violations"] += 1
                 break
         agent.in_hold = True
         queue = deque()
-        for link, m in zip(agent.problem.links, agent.proposal.m):
+        for link, m in zip(agent.links, agent.proposal.m):
             for _ in range(int(m)):
-                queue.append(link.neighbor)
+                queue.append(link[0])
         agent.exchange_queue = queue
         self._next_exchange(agent)
 

@@ -45,11 +45,13 @@ from coopnav.simkernel import (
     Trajectory,
     Transmission,
     arbitrate,
+    hears,
     link_key,
     mobility_position,
     record_row,
     run,
 )
+from test_golden import SHORT_RANGE, SHORT_RANGE_M
 
 ANCHORS = (
     AnchorSpec(1, (0.0, 0.0, 2.5), "A1"),
@@ -171,71 +173,93 @@ def _frames_only(scenario, frames, **kw):
     return sim
 
 
+def _links(ids, fixed=None):
+    """A fixed-link table over the node ids, every link undecided (None)
+    except the {(a, b): heard} entries of `fixed`, in both directions."""
+    table = {a: {b: None for b in ids if b != a} for a in ids}
+    for (a, b), heard in (fixed or {}).items():
+        table[a][b] = table[b][a] = heard
+    return table
+
+
 class TestArbitrate:
-    def test_delivery_in_range(self):
+    """Outcomes from the fixed-link table where it decides a link, and from
+    the positions at the frame's end where it does not. A decided link reads
+    no position: the positions below hold only what must be read."""
+
+    @staticmethod
+    def arbitrate(frames, links, positions, comm_range=10.0, blocked=frozenset()):
+        """Outcomes of the first of the (src, start, end, position) frames,
+        with all of them on the channel."""
         ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        ch.add(tx)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0])}, comm_range=10.0)
-        assert out == {2: ("delivered", 5.0)}
+        txs = [_tx(*f) for f in frames]
+        for tx in txs:
+            ch.add(tx)
+        return arbitrate(ch, txs[0], links, positions, comm_range, blocked)
+
+    def test_delivery_in_range(self):
+        out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], _links([1, 2]), {2: (5.0, 0, 0)})
+        assert out == {2: "delivered"}
 
     def test_out_of_range(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        ch.add(tx)
-        out = arbitrate(ch, tx, {2: np.array([50.0, 0, 0])}, comm_range=10.0)
-        assert out == {2: ("out-of-range", 50.0)}
+        out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], _links([1, 2]), {2: (50.0, 0, 0)})
+        assert out == {2: "out-of-range"}
 
-    def test_overlap_collides(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        jam = _tx(3, 0.0005, 0.0015, [1.0, 0, 0])
-        ch.add(tx)
-        ch.add(jam)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0])}, comm_range=10.0)
-        assert out == {2: ("collided", 5.0)}
-
-    def test_distant_interferer_ignored(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        far = _tx(3, 0.0, 0.001, [100.0, 0, 0])
-        ch.add(tx)
-        ch.add(far)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0])}, comm_range=10.0)
-        assert out == {2: ("delivered", 5.0)}
+    def test_undecided_link_at_range_limit(self):
+        # hears: a distance equal to the range is in range.
+        frames = [(1, 0.0, 0.001, [0, 0, 0])]
+        assert self.arbitrate(frames, _links([1, 2]), {2: (10.0, 0, 0)}) == {2: "delivered"}
+        far = {2: (math.nextafter(10.0, math.inf), 0, 0)}
+        assert self.arbitrate(frames, _links([1, 2]), far) == {2: "out-of-range"}
 
     def test_blocked_pair_is_out_of_range(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        ch.add(tx)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0])}, 10.0, blocked={link_key(2, 1)})
-        assert out == {2: ("out-of-range", 5.0)}
+        # The table decides node 3's blocked link and node 2's fixed one
+        # without a position (with none given, a read would raise); an
+        # undecided link is blocked by `hears`.
+        frames = [(1, 0.0, 0.001, [0, 0, 0])]
+        links = _links([1, 2, 3], {(1, 2): True, (1, 3): False})
+        assert self.arbitrate(frames, links, {}) == {2: "delivered", 3: "out-of-range"}
+        out = self.arbitrate(frames, _links([1, 2]), {2: (5.0, 0, 0)}, blocked={link_key(2, 1)})
+        assert out == {2: "out-of-range"}
+
+    def test_overlap_collides(self):
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (3, 0.0005, 0.0015, [1.0, 0, 0])]
+        out = self.arbitrate(frames, _links([1, 2, 3], {(1, 3): True}), {2: (5.0, 0, 0)})
+        assert out == {2: "collided", 3: "collided"}  # 3 is half duplex
+
+    def test_distant_interferer_ignored(self):
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (3, 0.0, 0.001, [100.0, 0, 0])]
+        out = self.arbitrate(frames, _links([1, 2, 3], {(1, 3): False}), {2: (5.0, 0, 0)})
+        assert out == {2: "delivered", 3: "out-of-range"}
 
     def test_blocked_interferer_does_not_jam(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        jam = _tx(3, 0.0, 0.001, [1.0, 0, 0])
-        ch.add(tx)
-        ch.add(jam)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0])}, 10.0, blocked={link_key(3, 2)})
-        assert out == {2: ("delivered", 5.0)}
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (3, 0.0, 0.001, [1.0, 0, 0])]
+        fixed = {(1, 2): True, (1, 3): False, (2, 3): False}
+        assert self.arbitrate(frames, _links([1, 2, 3], fixed), {}) == {
+            2: "delivered", 3: "out-of-range"}
+
+    def test_interferer_decided_through_table(self):
+        # The table, not the interferer's distance, decides.
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (3, 0.0, 0.001, [100.0, 0, 0])]
+        fixed = {(1, 2): True, (1, 3): False, (2, 3): True}
+        assert self.arbitrate(frames, _links([1, 2, 3], fixed), {}) == {
+            2: "collided", 3: "out-of-range"}
 
     def test_sender_not_a_receiver(self):
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        ch.add(tx)
-        out = arbitrate(ch, tx, {1: np.zeros(3), 2: np.array([1.0, 0, 0])}, 10.0)
-        assert 1 not in out
+        # In the row's order; the sender has no entry of its own.
+        links = _links([1, 2, 3, 4], {(1, 4): True, (1, 2): False, (1, 3): True})
+        out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], links, {})
+        assert list(out) == [2, 3, 4]
+        links[1] = {4: True, 2: False, 3: True}
+        assert list(self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], links, {})) == [4, 2, 3]
 
     def test_receivers_own_frame_collides(self):
-        # Half duplex: node 2 cannot hear while its own frame is on the air.
-        ch = ChannelState()
-        tx = _tx(1, 0.0, 0.001, [0, 0, 0])
-        own = _tx(2, 0.0009, 0.0013, [5.0, 0, 0])
-        ch.add(tx)
-        ch.add(own)
-        out = arbitrate(ch, tx, {2: np.array([5.0, 0, 0]), 3: np.array([0, 50.0, 0])}, 10.0)
-        assert out == {2: ("collided", 5.0), 3: ("out-of-range", 50.0)}
+        # Half duplex: node 2 cannot hear while its own frame is on the air,
+        # whatever the table says of it; node 3's link is decided by distance.
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (2, 0.0009, 0.0013, [5.0, 0, 0])]
+        links = _links([1, 2, 3], {(1, 2): True, (2, 3): False})
+        out = self.arbitrate(frames, links, {3: (0, 50.0, 0)})
+        assert out == {2: "collided", 3: "out-of-range"}
 
     def test_long_frame_keeps_early_interferer(self):
         # A 10 ms frame from anchor 1 overlaps a short frame from anchor 2 at
@@ -371,10 +395,11 @@ TWO_AGENTS = (
 )
 
 
-def _idle_sim(**over):
+def _idle_sim(collect_trace=False, **over):
     """A Simulation of anchors 1-4 and agents 10 and 11 with an empty queue
     and no epochs after the current one (a period beyond the run)."""
-    sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=1.0, **over), seed=0)
+    sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=1.0, **over), seed=0,
+                     collect_trace=collect_trace)
     sim._queue.clear()
     for nid in (10, 11):
         sim.nodes[nid].period = 10.0
@@ -450,20 +475,23 @@ class TestSessionTimeout:
         assert set(most.values()) == {1}
 
     def test_lost_report_fails_after_final(self):
-        sim = _idle_sim()
+        sim = _idle_sim(collect_trace=True)
         ta, air = TURNAROUND_S, sim.par.msg_air_s
         # Agent 11 ranges with node 10 at 0: its init leaves at ta, its final
         # at 3 ta + 2 air, and node 10's report is on the air from 4 ta + 3 air
-        # to 4 ta + 4 air. Blocking the link mid-report loses it.
+        # to 4 ta + 4 air. A chirp of anchor 1 over the report loses it.
         init_deadline = ta + RANGING_TIMEOUT_S
         final_deadline = 3 * ta + 2 * air + RANGING_TIMEOUT_S
         _exchange_at(sim, 0.0, 11, 10)
-        sim._schedule(4 * ta + 3.5 * air,
-                      lambda: setattr(sim, "_blocked", frozenset({link_key(10, 11)})))
+        anchor = sim.nodes[1]
+        sim._schedule(4 * ta + 3.5 * air, lambda: sim._transmit(
+            anchor, Message(MsgKind.CHIRP, 1, None), CHIRP_AIR_S))
         failed = []
         for t in (init_deadline + ta, final_deadline - ta, final_deadline + ta):
             sim._schedule(t, lambda: failed.append(sim.counters["failed_exchanges"]))
         result = sim.run()
+        assert (MsgKind.RANGING_REPORT.value, 10, "collided@11") in {
+            (kind, src, outcome) for _t, kind, src, _d, outcome in result.trace}
         # The init's timer is superseded: the session fails at the final's.
         assert failed == [0, 0, 1]
         assert result.link_counts == {}
@@ -479,8 +507,7 @@ class TestSubnetViolations:
         for nid in (10, 11):
             agent = sim.nodes[nid]
             # One pending exchange each, so both are still holding.
-            link = LinkInfo(1, np.array([1.0, 0.0, 0.0]), 100.0, np.zeros((3, 3)))
-            agent.problem = AllocationProblem(np.eye(3), (link,), 1)
+            agent.links = [(1, np.array([1.0, 0.0, 0.0]), 100.0, np.zeros((3, 3)))]
             agent.proposal = AllocationResult(np.array([1]), None)
             sim._begin_hold(agent)
         return sim.counters["subnet_violations"]
@@ -690,6 +717,88 @@ class TestKernelProperties:
         assert all(ts == sorted(ts) for ts in times.values())
 
 
+def _piece_end_times(traj):
+    """Times before and after a whole trajectory, and each end of its pieces
+    (arrivals and departures) with its nextafter neighbours."""
+    wps = traj.waypoints
+    times = [wps[0][1] - 1.0, wps[-1][1] + wps[-1][2] + 1.0]
+    for _p, a, d in wps:
+        for b in (a, a + d):
+            times += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    return times
+
+
+def _short_range(scen):
+    return dataclasses.replace(
+        scen, link_truth=dataclasses.replace(scen.link_truth, comm_range_m=SHORT_RANGE_M))
+
+
+class TestFixedLinks:
+    """Every link that the fixed-link table decides is `hears` at every pair
+    of the two nodes' positions: sampled at each piece end of their
+    trajectories and its nextafter neighbours, each node at its own time."""
+
+    @staticmethod
+    def check(sim):
+        links, nodes = sim._links, sim.nodes
+        ids = sorted(nodes)
+        assert list(links) == ids
+        comm_range, blocked = sim._comm_range, sim._blocked
+        decided = 0
+        for a in ids:
+            assert list(links[a]) == [b for b in ids if b != a]  # rows in id order
+            for b, heard in links[a].items():
+                assert links[b][a] is heard
+                if heard is None or b < a:
+                    continue
+                decided += 1
+                pa, pb = ({mobility_position(nodes[n].traj, t)
+                           for t in _piece_end_times(nodes[n].traj)} for n in (a, b))
+                for p in pa:
+                    for q in pb:
+                        assert hears(a, b, simkernel._dist(p, q), comm_range, blocked) is heard
+        return decided
+
+    BUNDLED = [
+        "multi_floor", "prioritization_multipath", "single_floor_inference",
+        "three_agent_activation", "two_agent_cooperation",
+    ]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled(self, name):
+        scen = load_scenario(bundled_scenario_path(name))
+        sim = Simulation(scen, seed=0)
+        n = len(sim.nodes)
+        # Every bundled room lies within the range: all links are decided.
+        assert self.check(sim) == n * (n - 1) // 2
+        assert sim._undecided_movers == []
+
+    @pytest.mark.parametrize("name", sorted({name for name, _acronym in SHORT_RANGE}))
+    def test_short_range(self, name):
+        sim = Simulation(_short_range(load_scenario(bundled_scenario_path(name))), seed=0)
+        assert self.check(sim) > 0
+        assert sim._undecided_movers  # the range cuts across a walk
+
+    @settings(max_examples=200, deadline=None)
+    @given(scen=_fuzz_scenarios())
+    def test_generated(self, scen):
+        self.check(Simulation(scen, seed=0))
+
+    @pytest.mark.parametrize("inside,decided", [(0.5e-6, None), (2e-6, True)])
+    def test_margin(self, inside, decided):
+        # Agent 10 walks from next to anchor 1 to a point `inside` metres
+        # within the range of it; static agent 11 is that far inside too.
+        r = 9.0
+        agents = (
+            AgentSpec(10, (1.0, 0.0, 2.5), trajectory=(Waypoint((r - inside, 0.0, 2.5), 1.0),)),
+            AgentSpec(11, (0.0, r - inside, 2.5)),
+        )
+        sim = Simulation(small_scenario(agents=agents, link_truth=LinkTruthConfig(
+            comm_range_m=r)), seed=0)
+        assert sim._links[1][10] is decided
+        assert sim._links[1][11] is True  # static: `hears` at the positions
+
+
 class TestLsBelief:
     """An LS agent's estimate is its belief, with unit position covariance,
     and both inputs of its HTNA gate read that covariance."""
@@ -720,6 +829,86 @@ class TestLsBelief:
         for c_pj, cov in own:
             assert np.array_equal(c_pj, LS_COV[:3, :3])
             assert np.array_equal(cov, LS_COV)
+
+
+class _EagerProblemSim(Simulation):
+    """Builds at every prioritization the AllocationProblem of a uniform
+    pick as the inputs were once built there, eagerly, and compares each
+    HTNA gate's problem with it."""
+
+    def __init__(self, *args, **kw):
+        self.eager, self.gates = {}, 0
+        super().__init__(*args, **kw)
+
+    def _prioritize(self, agent):
+        mu_p = agent.belief.mean[:3]
+        links = []
+        for nid in self._eligible_neighbors(agent):
+            entry = agent.table.entries[nid]
+            try:
+                u = operation.unit_direction(mu_p, entry.mu_p)
+            except DegenerateGeometryError:
+                continue
+            links.append(LinkInfo(nid, u, entry.xi, entry.cov[:3, :3]))
+        self.eager[agent.nid] = AllocationProblem(
+            agent.belief.covariance[:3, :3], tuple(links), simkernel.M_PER_NEIGHBOR)
+        return super()._prioritize(agent)
+
+    def _htna_gate(self, agent):
+        eager = self.eager[agent.nid]
+        super()._htna_gate(agent)
+        gate = agent.problem
+        assert [l.neighbor for l in gate.links] == [l.neighbor for l in eager.links]
+        assert gate.budget == eager.budget
+        for name in ("c_pj", "us", "xis", "rhos"):
+            a, b = getattr(gate, name), getattr(eager, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        self.gates += 1
+
+
+class TestLazyAllocationInputs:
+    """Under uniform prioritization, an epoch keeps snapshots of its links
+    and builds their AllocationProblem only where the HTNA gate reads it."""
+
+    SCEN = small_scenario(agents=TWO_AGENTS, duration_s=2.0)
+
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+
+        class Counting(AllocationProblem):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(operation, "AllocationProblem", Counting)
+        return built
+
+    @pytest.mark.parametrize("acronym", ["BP-AL-UN", "BP-CS-UN", "LS-AL-UN"])
+    def test_aloha_and_csma_build_no_problem(self, acronym, monkeypatch):
+        built = self.counting(monkeypatch)
+        result = run(self.SCEN.with_algorithms(acronym), seed=3)
+        assert result.total_measurements() > 0
+        assert built == []
+
+    def test_htna_builds_one_problem_per_gate(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        decided = []
+        htna_decide = operation.htna_decide
+
+        def recording(problem, *args):
+            decided.append(problem)
+            return htna_decide(problem, *args)
+
+        monkeypatch.setattr(operation, "htna_decide", recording)
+        result = run(self.SCEN.with_algorithms("BP-HT-UN"), seed=3)
+        assert result.total_measurements() > 0
+        assert decided and [id(p) for p in built] == [id(p) for p in decided]
+
+    def test_gate_problem_equals_eager_one(self):
+        sim = _EagerProblemSim(self.SCEN.with_algorithms("BP-HT-UN"), seed=3)
+        assert sim.run().total_measurements() > 0
+        assert sim.gates > 0
 
 
 class TestTracedBindings:
