@@ -832,9 +832,9 @@ class TestLsBelief:
 
 
 class _EagerProblemSim(Simulation):
-    """Builds at every prioritization the AllocationProblem of a uniform
-    pick as the inputs were once built there, eagerly, and compares each
-    HTNA gate's problem with it."""
+    """Builds the AllocationProblem of a uniform pick eagerly at every
+    prioritization, from the live neighbor table, and checks that each HTNA
+    gate's problem equals it."""
 
     def __init__(self, *args, **kw):
         self.eager, self.gates = {}, 0
