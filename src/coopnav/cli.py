@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, simkernel
 from .config import (
     ACRONYMS,
@@ -122,7 +124,6 @@ def cmd_replicate(args) -> int:
     )
     path = out / f"{scenario.name}_replicate.csv"
     path.write_text(harness.reports_csv(reports))
-    import numpy as np
 
     med = float(np.median([r.rmse_m for r in reports]))
     print(

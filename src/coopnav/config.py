@@ -99,6 +99,12 @@ class Parameters:
     # metrics
     metrics_burn_in_s: float = 0.0
 
+    def __post_init__(self):
+        for key, (ok, what) in _PARAMETER_RULES.items():
+            v = getattr(self, key)
+            if not ok(v):
+                raise ConfigError(f"{key} must be {what}, got {v!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -329,8 +335,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
                 raise ConfigError(f"{where} must be true or false, got {value!r}")
             kwargs[key] = value
         else:
-            kwargs[key] = _number(value, where, _PARAMETER_RULES[key], isinstance(default, int))
-    parameters = Parameters(**kwargs)
+            kwargs[key] = _number(value, where, integer=isinstance(default, int))
+    try:
+        parameters = Parameters(**kwargs)
+    except ConfigError as err:  # a rule of _PARAMETER_RULES, named within the file
+        raise ConfigError(f"parameters.{err}") from None
 
     return ScenarioConfig(
         name=_string(d["name"], "name"),

@@ -74,12 +74,9 @@ class MeasurementBatch:
 
 
 def _matrix_sqrt(c: np.ndarray, scale: float) -> np.ndarray:
-    """Columns of the eigen square root V sqrt(D) of scale * c = V D V^T.
-
-    c must be exactly symmetric: eigh reads only the lower triangle, and
-    scale * c is then what symmetrize(scale * c) would give, bit for bit.
-    """
-    vals, vecs = np.linalg.eigh(scale * c)
+    """Columns of the eigen square root V sqrt(D) of symmetrize(scale * c) =
+    V D V^T; eigh reads only one triangle, so c is symmetrized here."""
+    vals, vecs = np.linalg.eigh(symmetrize(scale * c))
     if not vals[0] > 0.0:  # else all are positive: the check passes, the clip is a no-op
         tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
         if vals[0] < -tol:
@@ -106,23 +103,18 @@ def _ut_weights(dim: int) -> tuple[float, np.ndarray, np.ndarray]:
     return dim + lam, wm, wc
 
 
-def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
-    """generate_sigma_points for float arrays, cov exactly symmetric."""
+def generate_sigma_points(mean, cov) -> SigmaPointSet:
+    """Standard scaled unscented sigma-point set for N(mean, cov), on the
+    root of the symmetrized cov. The weights are shared read-only arrays."""
+    mean = np.asarray(mean, dtype=float)
     dim = mean.shape[0]
     scale, wm, wc = _ut_weights(dim)
-    root = _matrix_sqrt(cov, scale)
+    root = _matrix_sqrt(np.asarray(cov, dtype=float), scale)
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean
     points[1 : dim + 1] = mean + root.T
     points[dim + 1 :] = mean - root.T
     return SigmaPointSet(points, wm, wc)
-
-
-def generate_sigma_points(mean, cov) -> SigmaPointSet:
-    """Standard scaled unscented sigma-point set for N(mean, cov), cov
-    symmetrized first. The weights are shared read-only arrays."""
-    cov = symmetrize(np.asarray(cov, dtype=float))
-    return _sigma_points(np.asarray(mean, dtype=float), cov)
 
 
 def sigma_point_update(mean, cov, h, z, noise_cov):
@@ -136,7 +128,7 @@ def sigma_point_update(mean, cov, h, z, noise_cov):
     cov = symmetrize(np.asarray(cov, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    sp = _sigma_points(mean, cov)
+    sp = generate_sigma_points(mean, cov)
     zp = np.array([np.atleast_1d(h(x)) for x in sp.points])
     return _unscented_update(mean, cov, sp, zp, z, noise_cov)
 
@@ -173,9 +165,8 @@ def build_stacked_prior(
     prior: GaussianBelief, batch: MeasurementBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal stacked prior (mean, covariance): own (predicted) state,
-    then the positions of the neighbors whose covariance is nonzero, each
-    block symmetrized. Without such neighbors it is the prior's own
-    read-only arrays."""
+    then the positions of the neighbors whose covariance is nonzero. Without
+    such neighbors it is the prior's own read-only arrays."""
     uncertain = [e for e in batch.entries if np.count_nonzero(e.c_p)]
     if not uncertain:
         return prior.mean, prior.covariance
@@ -184,7 +175,7 @@ def build_stacked_prior(
     cov[: prior.dim, : prior.dim] = prior.covariance
     for i, e in enumerate(uncertain):
         off = prior.dim + 3 * i
-        cov[off : off + 3, off : off + 3] = symmetrize(e.c_p)
+        cov[off : off + 3, off : off + 3] = e.c_p
     return mean, cov
 
 
@@ -218,17 +209,12 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     mean, cov = build_stacked_prior(prior, batch)
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
-    sp = _sigma_points(mean, cov)
+    sp = generate_sigma_points(mean, cov)
     zp = _stacked_ranges(sp.points, prior.dim, batch)
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
     # _unscented_update returns post_cov symmetrized; so is its own block.
     return GaussianBelief(post_mean[:nx], post_cov[:nx, :nx])
-
-
-def marginalize_position(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
-    """Position-block mean and covariance of a belief."""
-    return belief.mean[:3].copy(), np.array(belief.covariance[:3, :3])
 
 
 def ls_estimate(prev, batch: MeasurementBatch) -> np.ndarray:

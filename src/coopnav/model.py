@@ -100,24 +100,16 @@ MOTION_CACHE_SIZE = 256
 def motion_matrices(model: MotionModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix A(dt) and driving-noise covariance Cw(dt).
 
-    A = [[I, dt I], [0, I]]; Cw = B(dt) Cu B(dt)^T with B = [[dt^2/2 I], [dt I]].
+    A = [[I, dt I], [0, I]]; Cw = sym(B(dt) Cu B(dt)^T) with B = [[dt^2/2 I], [dt I]].
     The result is memoised per (model, dt) and shared, so both arrays are
     read-only; `motion_matrices.__wrapped__` computes them afresh.
     """
     if dt < 0:
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
-    a = np.eye(STATE_DIM)
-    a[0, 3] = a[1, 4] = a[2, 5] = dt
-    # Each entry of B Cu B^T has a single nonzero term (B_ik Cu_kk) B_jk, so
-    # filling the entries directly, in that product order, then averaging
-    # (i, j) with (j, i) as symmetrize does, gives the matrix-product result
-    # bit for bit.
-    b = (0.5 * dt * dt, dt)
-    cw = np.zeros((STATE_DIM, STATE_DIM))
-    for k, cu in enumerate((model.sigma_x2, model.sigma_y2, model.sigma_z2)):
-        for r in range(2):
-            for c in range(2):
-                cw[3 * r + k, 3 * c + k] = (b[r] * cu * b[c] + b[c] * cu * b[r]) / 2.0
+    a = np.eye(STATE_DIM) + dt * np.eye(STATE_DIM, k=3)
+    i3 = np.eye(3)
+    b = np.vstack([0.5 * dt * dt * i3, dt * i3])
+    cw = symmetrize(b @ np.diag([model.sigma_x2, model.sigma_y2, model.sigma_z2]) @ b.T)
     a.setflags(write=False)
     cw.setflags(write=False)
     return a, cw

@@ -19,26 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidArgumentError, NumericFailureError
-from .model import MotionModel, motion_matrices, symmetrize
+from .model import MotionModel, _readonly, motion_matrices, symmetrize
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
     """Make a new array read-only in place and return it."""
     a.setflags(write=False)
     return a
-
-
-def _frozen(a) -> np.ndarray:
-    """A read-only float array equal to a. An array that nothing can write,
-    being read-only down its whole base chain, is returned itself; anything
-    else is copied (a read-only view of a writeable array can still change)."""
-    if type(a) is np.ndarray and a.dtype == np.float64:
-        b = a
-        while type(b) is np.ndarray and not b.flags.writeable:
-            b = b.base
-        if b is None:
-            return a
-    return _lock(np.array(a, dtype=float))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -48,12 +35,12 @@ def _norm(v: np.ndarray) -> float:
 
 
 def unit_direction(mu_j, mu_k) -> np.ndarray:
-    """Unit vector from mu_j toward mu_k, as a new read-only array."""
+    """Unit vector from mu_j toward mu_k."""
     d = np.asarray(mu_k, dtype=float) - np.asarray(mu_j, dtype=float)
     n = _norm(d)
     if n <= 1e-9:
         raise DegenerateGeometryError("coincident position means")
-    return _lock(d / n)
+    return d / n
 
 
 @dataclass(frozen=True)
@@ -66,10 +53,10 @@ class LinkInfo:
     c_pk: np.ndarray  # neighbor position covariance (3, 3)
 
     def __post_init__(self):
-        # Read-only arrays that nothing can change (copies where needed), so
-        # the constants an AllocationProblem derives from them stay valid.
-        u = _frozen(self.u)
-        c = _frozen(self.c_pk)
+        # Read-only copies, so the constants an AllocationProblem derives
+        # from them stay valid.
+        u = _readonly(self.u)
+        c = _readonly(self.c_pk)
         if abs(_norm(u) - 1.0) > 1e-9:
             raise InvalidArgumentError("direction vector must be unit norm")
         if self.xi < 0:
@@ -119,15 +106,15 @@ class AllocationProblem:
     # Per-link constants in link order, used by every allocation objective.
     @cached_property
     def xis(self) -> np.ndarray:
-        return _frozen([l.xi for l in self.links])
+        return _readonly([l.xi for l in self.links])
 
     @cached_property
     def rhos(self) -> np.ndarray:
         """rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
         channel quality. Exactly 0 for anchors (C_pk = 0), where the product
         gives +-0 and every use (1 + m rho) the same value."""
-        return _frozen([l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0
-                         for l in self.links])
+        return _readonly([l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0
+                          for l in self.links])
 
     @cached_property
     def us(self) -> np.ndarray:

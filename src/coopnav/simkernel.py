@@ -680,11 +680,7 @@ class Simulation:
             delay = protocol.aloha_delay(self.rng)
             self._schedule(t0 + delay, lambda a=agent: self._begin_hold(a))
         elif activation == "CSMA":
-            self._start_sense(
-                agent, protocol.CSMA_SENSE_S,
-                on_idle=lambda a=agent: self._begin_hold(a),
-                on_busy=lambda a=agent: self._csma_busy(a),
-            )
+            self._csma_sense(agent)
         elif activation == "HTNA":
             self._start_sense(
                 agent, protocol.htna_sense_window(self.par.t_m_s, self.rng),
@@ -704,7 +700,9 @@ class Simulation:
 
     def _prioritize(self, agent: _Node):
         """Snapshot the agent's links into agent.links and propose how many
-        measurements to make on each, or return None if it has no link."""
+        measurements to make on each, or return None if it has no link.
+        CPNP builds the AllocationProblem here; under uniform prioritization
+        only _htna_gate reads one, so it builds it from the snapshot."""
         mu_p = agent.belief.mean[:3]
         links = agent.links = []
         for nid in self._eligible_neighbors(agent):
@@ -737,8 +735,8 @@ class Simulation:
     def _allocation_problem(agent: _Node, budget: int) -> operation.AllocationProblem:
         """The AllocationProblem of the agent's snapshot links. Its own
         covariance is the belief's: an epoch changes the belief only at its
-        start and at _finalize. Read-only views of the belief serve: LinkInfo
-        and AllocationProblem copy only arrays that could change under them."""
+        start and at _finalize. LinkInfo copies the snapshot's arrays and
+        AllocationProblem symmetrizes the covariance into a new one."""
         links = tuple(operation.LinkInfo(*link) for link in agent.links)
         return operation.AllocationProblem(agent.belief.covariance[:3, :3], links, budget)
 
@@ -762,20 +760,20 @@ class Simulation:
         del self._sensing[agent.nid]
         on_idle()
 
+    def _csma_sense(self, agent: _Node):
+        self._start_sense(
+            agent, protocol.CSMA_SENSE_S,
+            on_idle=lambda: self._begin_hold(agent),
+            on_busy=lambda: self._csma_busy(agent),
+        )
+
     def _csma_busy(self, agent: _Node):
         delay = protocol.csma_backoff(agent.csma_attempt, self.rng)
         agent.csma_attempt += 1
         if delay is None:
             self._finalize(agent)
             return
-        self._schedule(
-            self.now + delay,
-            lambda a=agent: self._start_sense(
-                a, protocol.CSMA_SENSE_S,
-                on_idle=lambda: self._begin_hold(a),
-                on_busy=lambda: self._csma_busy(a),
-            ),
-        )
+        self._schedule(self.now + delay, lambda a=agent: self._csma_sense(a))
 
     def _htna_gate(self, agent: _Node):
         result = agent.proposal
@@ -796,7 +794,7 @@ class Simulation:
             self._finalize(agent)
 
     def _begin_hold(self, agent: _Node):
-        if agent.session is not None and agent.session.active:
+        if agent.busy_for_ranging():
             # responding to someone else right now; skip this epoch
             self._finalize(agent)
             return

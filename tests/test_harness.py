@@ -1,11 +1,14 @@
 """Tests for metrics, replication, comparison, and scenario configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from coopnav.config import (
     ACRONYMS,
     AgentSpec,
+    Parameters,
     ScenarioConfig,
     Waypoint,
     bundled_scenario_path,
@@ -260,6 +263,15 @@ class TestScenarioConfig:
                 Waypoint((1.1, 4.7, 0.3), 4.0, 1.0),
                 Waypoint((2.3, 0.1, 0.2), 8.0, 2.0),
             ))
+
+    @pytest.mark.parametrize("key,value", [("epoch_period_s", 0.0), ("epoch_jitter", 1.0)])
+    def test_parameter_rule_through_api(self, key, value):
+        # Parameters built in code obey the file's rules: a period of 0
+        # would never advance the clock.
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            Parameters(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            dataclasses.replace(Parameters(), **{key: value})
 
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)

@@ -27,7 +27,6 @@ from coopnav.inference import (
     build_stacked_prior,
     generate_sigma_points,
     ls_estimate,
-    marginalize_position,
     sigma_point_update,
     spbp_update,
 )
@@ -144,7 +143,7 @@ class TestGridOracle:
         )
         prior = GaussianBelief(prior_mean, prior_cov)
         post = spbp_update(prior, MeasurementBatch(entries))
-        mu_p, c_p = marginalize_position(post)
+        mu_p, c_p = post.mean[:3], post.covariance[:3, :3]
 
         # Grid integration oracle over the position block.
         n = 61
@@ -206,40 +205,21 @@ class TestSpbpUpdate:
 
     def test_root_is_eigen_root(self):
         # One root policy: SPD and singular covariances both take the eigen
-        # root V sqrt(D), and a covariance that is not PSD still raises.
+        # root V sqrt(D) of the symmetrized matrix, an asymmetric one too
+        # (eigh alone would read one triangle), and a covariance that is not
+        # PSD still raises.
         rng = np.random.default_rng(13)
         for _ in range(20):
             singular = np.zeros((9, 9))
             singular[:6, :6] = random_spd(rng, 6)
-            for c in (random_spd(rng, 9), singular):
+            asymmetric = random_spd(rng, 9) + 1e-6 * rng.normal(size=(9, 9))
+            for c in (random_spd(rng, 9), singular, asymmetric):
                 vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
                 want = vecs * np.sqrt(np.clip(vals, 0.0, None))
                 assert np.array_equal(_matrix_sqrt(c, 3.0), want)
         with pytest.raises(NumericFailureError) as err:
             _matrix_sqrt(np.diag([1.0, 0.0, -0.5]), 3.0)
         assert err.value.min_eigenvalue == pytest.approx(-1.5, rel=1e-6)
-
-    def test_symmetric_root_needs_no_symmetrize(self):
-        # Oracle: the eigen root of the symmetrized copy. Exactly symmetric
-        # inputs of every kind the update stacks (SPD over a wide range of
-        # scales, singular with zero blocks, all zero, rank one with
-        # eigenvalues near 0 of either sign) give it bit for bit.
-        rng = np.random.default_rng(29)
-        cases = [np.zeros((6, 6)), np.diag([4.0, 0.0, 1e-30, 2.0, 0.0, 1.0])]
-        for _ in range(300):
-            n = int(rng.integers(1, 13))
-            c = random_spd(rng, n, 10.0 ** rng.uniform(-8, 4))
-            cases.append(c)
-            z = np.zeros((n + 3, n + 3))
-            z[:n, :n] = c
-            cases.append(z)
-            v = rng.normal(size=(n, 1))
-            cases.append(symmetrize(v @ v.T))
-        for c in cases:
-            assert np.array_equal(c, c.T)
-            vals, vecs = np.linalg.eigh(symmetrize(3.0 * c))
-            want = vecs * np.sqrt(np.clip(vals, 0.0, None))
-            assert np.array_equal(_matrix_sqrt(c, 3.0), want)
 
     def test_update_symmetrizes_its_input(self):
         # sigma_point_update takes any covariance and symmetrizes it once on

@@ -154,49 +154,44 @@ class TestDirections:
         with pytest.raises(InvalidArgumentError):
             LinkInfo(0, np.array([1.0, 1.0, 0.0]), 50.0, np.zeros((3, 3)))
 
-    def test_unit_direction_read_only(self):
-        u = unit_direction(np.zeros(3), np.array([3.0, 0.0, 4.0]))
-        with pytest.raises(ValueError):
-            u[0] = 1.0
 
-
-class TestFrozen:
-    """operation._frozen reuses only arrays that nothing can write."""
+class TestLinkInfoCopies:
+    """LinkInfo keeps read-only copies of u and c_pk, so nothing the caller
+    does to its arrays afterwards reaches the link."""
 
     def test_copies_writeable_array(self):
-        a = np.arange(9.0).reshape(3, 3)
-        f = operation._frozen(a)
-        assert f is not a and np.array_equal(f, a) and not f.flags.writeable
-        a[0, 0] = 7.0
-        assert f[0, 0] == 0.0
+        u = unit_direction(np.zeros(3), np.array([3.0, 0.0, 4.0]))
+        c = np.arange(9.0).reshape(3, 3)
+        link = LinkInfo(0, u, 50.0, c)
+        u[0], c[0, 0] = 1.0, 7.0
+        assert np.array_equal(link.u, [0.6, 0.0, 0.8]) and link.c_pk[0, 0] == 0.0
+        for x in (link.u, link.c_pk):
+            with pytest.raises(ValueError):
+                x[0] = 1.0
 
     def test_copies_read_only_view_of_writeable_array(self):
         a = np.arange(36.0).reshape(6, 6)
         v = a[:3, :3]
         v.setflags(write=False)
-        f = operation._frozen(v)
-        assert f is not v and not f.flags.writeable
-        a[0, 0] = 7.0  # the view changes; the frozen copy does not
-        assert v[0, 0] == 7.0 and f[0, 0] == 0.0
+        link = LinkInfo(0, np.array([1.0, 0.0, 0.0]), 50.0, v)
+        a[0, 0] = 7.0  # the view changes; the link's copy does not
+        assert v[0, 0] == 7.0 and link.c_pk[0, 0] == 0.0
 
-    def test_reuses_read_only_chain(self):
-        a = np.arange(36.0).reshape(6, 6).copy()
-        a.setflags(write=False)
-        v = a[:3, :3]
-        assert operation._frozen(a) is a
-        assert operation._frozen(v) is v
+    def test_copies_belief_view(self):
         b = GaussianBelief(np.zeros(6), np.eye(6))
         link = LinkInfo(0, unit_direction(np.zeros(3), np.ones(3)), 50.0,
                         b.covariance[:3, :3])
-        assert link.c_pk.base is b.covariance
+        assert np.array_equal(link.c_pk, np.eye(3))
+        assert not np.shares_memory(link.c_pk, b.covariance)
+        assert not link.c_pk.flags.writeable
 
     def test_converts_other_inputs(self):
         i = np.arange(1, 4)
         i.setflags(write=False)
         for x in ([1, 2, 3], i, np.float32([1, 2, 3])):
-            f = operation._frozen(x)
-            assert f.dtype == np.float64 and not f.flags.writeable
-            assert np.array_equal(f, [1.0, 2.0, 3.0])
+            link = LinkInfo(0, np.array([1.0, 0.0, 0.0]), 50.0, np.diag(x))
+            assert link.c_pk.dtype == np.float64 and not link.c_pk.flags.writeable
+            assert np.array_equal(link.c_pk, np.diag([1.0, 2.0, 3.0]))
 
 
 def link_constants(link):
