@@ -134,7 +134,7 @@ _POSITIVE = (lambda x: x > 0, "> 0")
 # The rule of every numeric parameter. A value outside it means nothing: a
 # run hangs (a period <= 0 never advances the clock), crashes, or misreads it.
 _PARAMETER_RULES = {
-    "budget": _NONNEGATIVE,
+    "budget": (lambda x: isinstance(x, int) and x >= 0, "an integer >= 0"),
     "epoch_period_s": _POSITIVE,
     "epoch_jitter": (lambda x: 0 <= x < 1, "in [0, 1)"),  # keeps every period > 0
     "t_m_s": _NONNEGATIVE,

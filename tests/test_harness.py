@@ -264,10 +264,12 @@ class TestScenarioConfig:
                 Waypoint((2.3, 0.1, 0.2), 8.0, 2.0),
             ))
 
-    @pytest.mark.parametrize("key,value", [("epoch_period_s", 0.0), ("epoch_jitter", 1.0)])
+    @pytest.mark.parametrize("key,value", [
+        ("epoch_period_s", 0.0), ("epoch_jitter", 1.0), ("budget", 12.5)])
     def test_parameter_rule_through_api(self, key, value):
         # Parameters built in code obey the file's rules: a period of 0
-        # would never advance the clock.
+        # would never advance the clock, and a fractional budget would
+        # crash the allocation's rounding.
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             Parameters(**{key: value})
         with pytest.raises(ConfigError, match=f"^{key} must be"):

@@ -186,12 +186,13 @@ class TestLinkInfoCopies:
         assert not link.c_pk.flags.writeable
 
     def test_converts_other_inputs(self):
-        i = np.arange(1, 4)
+        i = np.array([0, 1, 0])
         i.setflags(write=False)
-        for x in ([1, 2, 3], i, np.float32([1, 2, 3])):
-            link = LinkInfo(0, np.array([1.0, 0.0, 0.0]), 50.0, np.diag(x))
-            assert link.c_pk.dtype == np.float64 and not link.c_pk.flags.writeable
-            assert np.array_equal(link.c_pk, np.diag([1.0, 2.0, 3.0]))
+        for x in ([1, 0, 0], i, np.float32([0, 0, 1])):
+            link = LinkInfo(0, x, 50.0, np.zeros((3, 3), dtype=int))
+            for a in (link.u, link.c_pk):
+                assert a.dtype == np.float64 and not a.flags.writeable
+            assert np.array_equal(link.u, x)
 
 
 def link_constants(link):
