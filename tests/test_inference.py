@@ -221,6 +221,30 @@ class TestSpbpUpdate:
             _matrix_sqrt(np.diag([1.0, 0.0, -0.5]), 3.0)
         assert err.value.min_eigenvalue == pytest.approx(-1.5, rel=1e-6)
 
+    def test_symmetric_root_needs_no_symmetrize(self):
+        # Oracle: the eigen root of 3 c itself, with no symmetrize. For an
+        # exactly symmetric c, symmetrize(3 c) is 3 c bit for bit, so inputs
+        # of every kind the update stacks (SPD over a wide range of scales,
+        # singular with zero blocks, all zero, rank one with eigenvalues near
+        # 0 of either sign) give that root and none of them raises.
+        rng = np.random.default_rng(29)
+        cases = [np.zeros((6, 6)), np.diag([4.0, 0.0, 1e-30, 2.0, 0.0, 1.0])]
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            c = random_spd(rng, n, 10.0 ** rng.uniform(-8, 4))
+            cases.append(c)
+            z = np.zeros((n + 3, n + 3))
+            z[:n, :n] = c
+            cases.append(z)
+            v = rng.normal(size=(n, 1))
+            cases.append(symmetrize(v @ v.T))
+        for c in cases:
+            assert np.array_equal(c, c.T)
+            assert np.array_equal(symmetrize(3.0 * c), 3.0 * c)
+            vals, vecs = np.linalg.eigh(3.0 * c)
+            want = vecs * np.sqrt(np.clip(vals, 0.0, None))
+            assert np.array_equal(_matrix_sqrt(c, 3.0), want)
+
     def test_update_symmetrizes_its_input(self):
         # sigma_point_update takes any covariance and symmetrizes it once on
         # entry: an asymmetric input updates as its symmetrized copy.
