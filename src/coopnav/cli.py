@@ -67,14 +67,9 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"invalid seed list {text!r}; use N, 'a,b,c', or 'lo:hi'") from None
     if not seeds:
         raise ConfigError("seed list is empty")
-    for seed in seeds:
-        _check_seed(seed)
+    if min(seeds) < 0:  # checked before any seed runs
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
-
-
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seeds must be >= 0, got {seed}")
 
 
 def _check_workers(workers: int | None) -> None:
@@ -91,7 +86,6 @@ def _check_node(scenario: ScenarioConfig, node: int | None) -> None:
 
 def cmd_run(args) -> int:
     scenario = _apply_acronym(_load(args.scenario), args.acronym)
-    _check_seed(args.seed)
     out = _output_dir(args.output_dir)
     result = simkernel.run(scenario, seed=args.seed, collect_trace=args.trace)
     stem = f"{scenario.name}_seed{result.seed}"

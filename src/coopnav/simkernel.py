@@ -12,7 +12,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -324,8 +324,10 @@ class Simulation:
 
     def __init__(self, scenario: ScenarioConfig, seed: int | None = None,
                  collect_trace: bool = False):
+        if seed is not None:  # the override obeys the scenario's seed rule
+            scenario = replace(scenario, seed=seed)
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
+        self.seed = scenario.seed
         self.par = scenario.parameters
         self.collect_trace = collect_trace
         self.rng = np.random.default_rng(self.seed)
@@ -681,14 +683,12 @@ class Simulation:
             self._schedule(t0 + delay, lambda a=agent: self._begin_hold(a))
         elif activation == "CSMA":
             self._csma_sense(agent)
-        elif activation == "HTNA":
+        else:  # HTNA
             self._start_sense(
                 agent, protocol.htna_sense_window(self.par.t_m_s, self.rng),
                 on_idle=lambda a=agent: self._htna_gate(a),
                 on_busy=lambda a=agent: self._finalize(a),
             )
-        else:  # pragma: no cover - config enforces the closed set
-            raise SimulationError(f"unknown activation {activation}")
 
     def _eligible_neighbors(self, agent: _Node) -> list:
         out = []

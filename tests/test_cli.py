@@ -132,6 +132,17 @@ class TestUnusableArguments:
         assert err.startswith("configuration error") and key in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+    def test_unreadable_scenario_file(self, tmp_path, capsys, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "latin.json"
+            path.write_bytes(content)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(path) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_replicate_rejects_unusable_workers(self, tmp_path, workers):
         scenario = load_scenario(_short_scenario(tmp_path))

@@ -8,6 +8,9 @@ import pytest
 from coopnav.config import (
     ACRONYMS,
     AgentSpec,
+    Algorithms,
+    AnchorSpec,
+    LinkTruthConfig,
     Parameters,
     ScenarioConfig,
     Waypoint,
@@ -123,6 +126,13 @@ class TestReplication:
         _, again = replicate(scen, seeds=[3, 1], node_id=10)
         assert reports == again
 
+    def test_process_pool_matches_sequential(self):
+        scen = self.scenario(duration_s=2.0)
+        _, sequential = replicate(scen, seeds=[3, 1], node_id=10)
+        _, pooled = replicate(scen, seeds=[3, 1], node_id=10, workers=2)
+        assert [r.seed for r in pooled] == [3, 1]
+        assert pooled == sequential
+
     def test_requires_seeds(self):
         with pytest.raises(InvalidArgumentError):
             replicate(self.scenario(), seeds=[])
@@ -151,6 +161,9 @@ MINIMAL = {
     "anchors": [{"id": 1, "position": [0, 0, 0]}],
     "agents": [{"id": 10, "initial_position": [1, 1, 1]}],
 }
+
+BUNDLED = ["single_floor_inference", "two_agent_cooperation", "three_agent_activation",
+           "prioritization_multipath", "multi_floor"]
 
 
 class TestScenarioConfig:
@@ -275,6 +288,37 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             dataclasses.replace(Parameters(), **{key: value})
 
+    @pytest.mark.parametrize("build, match", [
+        # An agent sharing an anchor's id would replace it in the run's nodes.
+        (lambda: ScenarioConfig("t", 1.0, anchors=(AnchorSpec(1, (0, 0, 0)),),
+                                agents=(AgentSpec(1, (1, 1, 1)),)),
+         r"^node ids must be unique across anchors and agents, got \[1\]"),
+        # An unknown inference would run the LS branch on an SPBP prior.
+        (lambda: Algorithms(inference="FOO"), r"^inference must be one of"),
+        (lambda: ScenarioConfig("t", float("nan")), "^duration_s must be"),
+        (lambda: LinkTruthConfig(comm_range_m=-1), "^comm_range_m must be"),
+        (lambda: Waypoint((0, 0, 0), -1.0), "^arrival_s must be"),
+        (lambda: Waypoint((0, 0, 0), 1.0, -0.5), "^dwell_s must be"),
+        (lambda: LinkTruthConfig(nlos_pairs=((1, 1),)), r"^nlos_pairs\[0\] pairs node 1"),
+        (lambda: LinkTruthConfig(blocked_pairs=((1, 2), (2, 2))),
+         r"^blocked_pairs\[1\] pairs node 2"),
+        (lambda: ScenarioConfig("t", 1.0, anchors=(AnchorSpec(1, (0, 0, 0)),),
+                                link_truth=LinkTruthConfig(nlos_pairs=((1, 99),))),
+         r"^link_truth\.nlos_pairs\[0\] references unknown node id 99"),
+        (lambda: ScenarioConfig("t", 1.0, link_truth=LinkTruthConfig(blocked_pairs=((1, 2),))),
+         r"^link_truth\.blocked_pairs\[0\] references unknown node id"),
+        (lambda: Parameters(budget=True), "^budget must be"),
+        (lambda: Parameters(epoch_period_s=float("inf")), "^epoch_period_s must be"),
+        (lambda: Parameters(epoch_period_s="0.1"), "^epoch_period_s must be"),
+    ], ids=["duplicate-id", "unknown-inference", "nan-duration", "negative-range",
+            "negative-arrival", "negative-dwell", "nlos-self-pair", "blocked-self-pair",
+            "nlos-unknown-id", "blocked-unknown-id", "boolean-budget", "infinite-period",
+            "string-period"])
+    def test_rule_through_api(self, build, match):
+        # A scenario built in code obeys the rules of a scenario file.
+        with pytest.raises(ConfigError, match=match):
+            build()
+
     def test_bad_vector_named(self):
         bad = dict(MINIMAL)
         bad["agents"] = [{"id": 10, "initial_position": [1, 1]}]
@@ -296,8 +340,9 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             scen.with_algorithms("BOGUS")
 
-    def test_round_trip(self, tmp_path):
-        scen = load_scenario(bundled_scenario_path("two_agent_cooperation"))
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_round_trip(self, tmp_path, name):
+        scen = load_scenario(bundled_scenario_path(name))
         p = tmp_path / "s.json"
         save_scenario(scen, p)
         again = load_scenario(p)

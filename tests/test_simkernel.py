@@ -25,6 +25,7 @@ from coopnav.config import (
     load_scenario,
 )
 from coopnav.errors import (
+    ConfigError,
     DegenerateGeometryError,
     EstimationFailureError,
     SimulationError,
@@ -535,6 +536,13 @@ class TestRecordFormatting:
 
 
 class TestSimulationRuns:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_override_obeys_seed_rule(self, seed):
+        # The override is checked like a scenario's own seed: numpy would
+        # reject -1 and 1.5 with its own errors and read True as seed 1.
+        with pytest.raises(ConfigError, match="^seed must be"):
+            Simulation(small_scenario(), seed=seed)
+
     def test_no_agents_produces_no_records(self):
         result = run(small_scenario(agents=()), seed=0)
         assert result.records == []
