@@ -7,7 +7,8 @@ Subcommands:
     validate   parse and check a scenario file without running it
 
 Exit codes: 0 on success, 2 on configuration errors (a run with no record to
-evaluate included), 3 on simulation failures.
+evaluate included), 3 on simulation failures (any other coopnav error a run
+raises, a numeric one included).
 The default output directory can be set via the COOPNAV_OUTPUT_DIR
 environment variable (falling back to the current directory).
 """
@@ -28,7 +29,7 @@ from .config import (
     bundled_scenario_path,
     load_scenario,
 )
-from .errors import ConfigError, NoRecordsError, SimulationError
+from .errors import ConfigError, CoopnavError, NoRecordsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
     except (ConfigError, NoRecordsError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationError as exc:
+    except CoopnavError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

@@ -10,7 +10,6 @@ convergence transient.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -139,6 +138,9 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
     Results are returned ordered by the position in `seeds` regardless of
     worker completion order, so replication is deterministic. `workers`, if
     given, must be at least 1; a process pool runs the seeds when it is more.
+    Its workers are spawned, not forked from a process that may hold BLAS
+    threads; the pool's modules load only here, so importing coopnav stays
+    cheap.
     """
     seeds = list(seeds)
     if not seeds:
@@ -147,7 +149,11 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     burn = scenario.parameters.metrics_burn_in_s if burn_in_s is None else burn_in_s
     if workers is not None and workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(_run_one, [(scenario, s) for s in seeds]))
     else:
         results = [run(scenario, seed=s) for s in seeds]

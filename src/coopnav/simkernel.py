@@ -12,7 +12,9 @@ import heapq
 import itertools
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -169,7 +171,7 @@ class ChannelState:
 
 
 def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: dict,
-              comm_range: float, blocked=frozenset()) -> dict:
+              comm_range: float, blocked=frozenset(), clear=None) -> Mapping:
     """Per-receiver outcome of a finished transmission.
 
     links is a fixed-link table: node id -> {other node id: heard}, where
@@ -181,8 +183,15 @@ def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: d
     succeeds iff the receiver hears the sender and no other overlapping
     frame that it hears. Radios are half duplex: a receiver's own
     overlapping frame always collides.
+
+    clear, if given, is the sender's clear-frame outcome map: its fully
+    decided row, with "delivered" where heard and "out-of-range" elsewhere.
+    With no overlapping frame the rule reduces to exactly that, and the map
+    itself (the same object) is returned, so a caller can tell.
     """
     overlaps = channel.overlapping(tx)
+    if clear is not None and not overlaps:
+        return clear
     src = tx.src
     out = {}
     for nid, heard in links[src].items():
@@ -204,6 +213,15 @@ def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: d
                 break
         out[nid] = outcome
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class _FanOut:
+    """What a frame of one sender does when it overlaps no other frame."""
+
+    outcomes: Mapping  # receiver id -> outcome, read-only, in id order
+    delivered: tuple  # the _Nodes that hear the sender, in id order
+    out_of_range: int
 
 
 @dataclass
@@ -361,6 +379,7 @@ class Simulation:
         self._build_nodes()
         self._ordered = [self.nodes[nid] for nid in sorted(self.nodes)]
         self._links = self._fixed_links()
+        self._fanouts = self._clear_fanouts()
         # Positions at the last frame end, read only for undecided links: the
         # moving nodes that have one are refreshed at every frame end.
         self._frame_pos = {n.nid: n.static_pos for n in self._ordered}
@@ -403,12 +422,12 @@ class Simulation:
             if not node.is_anchor:
                 jitter = par.epoch_jitter * self.rng.uniform(-1.0, 1.0)
                 node.period = par.epoch_period_s * (1.0 + jitter)
-                self._schedule(0.0, lambda n=node: self._epoch(n))
+                self._schedule(0.0, self._epoch, node)
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             first = chirp_scheduler(self.rng, par.chirp_mean_interval_s)
             if first < self.duration:
-                self._schedule(first, lambda n=node: self._chirp(n))
+                self._schedule(first, self._chirp, node)
 
     def _fixed_links(self) -> dict:
         """The fixed-link table: node id -> {other node id: heard}, each row
@@ -437,6 +456,22 @@ class Simulation:
                 links[a.nid][b.nid] = links[b.nid][a.nid] = heard
         return links
 
+    def _clear_fanouts(self) -> dict:
+        """Sender id -> _FanOut, for each sender whose fixed-link row is
+        fully decided: a frame of it that overlaps no other frame settles
+        from this alone (see `arbitrate`). A row with an undecided link gets
+        none, since its outcome depends on positions."""
+        fanouts = {}
+        for src, row in self._links.items():
+            if None in row.values():
+                continue
+            outcomes = {nid: "delivered" if heard else "out-of-range"
+                        for nid, heard in row.items()}
+            delivered = tuple(self.nodes[nid] for nid, heard in row.items() if heard)
+            fanouts[src] = _FanOut(MappingProxyType(outcomes), delivered,
+                                   len(row) - len(delivered))
+        return fanouts
+
     def _hears_now(self, a: _Node, b: int, b_pos: tuple, t: float) -> bool:
         """Whether node a hears node b, at b_pos, at time t: the fixed entry
         where the run decided it, else `hears` at a's position at t."""
@@ -453,8 +488,10 @@ class Simulation:
 
     # -- infrastructure ------------------------------------------------------
 
-    def _schedule(self, t: float, fn) -> None:
-        heapq.heappush(self._queue, (t, next(self._seq), fn))
+    def _schedule(self, t: float, fn, *args) -> None:
+        """Call fn(*args) at time t; events at one time run in scheduling
+        order, since the sequence number breaks every tie."""
+        heapq.heappush(self._queue, (t, next(self._seq), fn, args))
 
     def _position(self, node: _Node, t: float) -> tuple:
         """mobility_position(node.traj, t), from the node's cached piece of its
@@ -480,15 +517,16 @@ class Simulation:
     def run(self) -> RunResult:
         grace = self.duration + 1.0
         last = -np.inf
-        while self._queue:
-            t, _seq, fn = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            t, _seq, fn, args = heapq.heappop(queue)
             if t > grace:
                 break
             if t < last - 1e-12:
                 raise SimulationError("event times must be nondecreasing")
             last = t
             self.now = t
-            fn()
+            fn(*args)
         return RunResult(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -520,7 +558,7 @@ class Simulation:
                                                        tx.src_pos, start):
                 del sensing[nid]
                 on_busy()
-        self._schedule(tx.end, lambda: self._tx_end(tx))
+        self._schedule(tx.end, self._tx_end, tx)
         return tx
 
     def _tx_end(self, tx: Transmission):
@@ -529,22 +567,29 @@ class Simulation:
         positions = self._frame_pos
         for other in self._undecided_movers:
             positions[other.nid] = self._position(other, end)
-        outcomes = arbitrate(self.channel, tx, self._links, positions,
-                             self._comm_range, self._blocked)
-        trace, nodes = self.trace, self.nodes
-        delivered = []
-        collided = 0
-        for nid, outcome in outcomes.items():
-            if trace is not None:
+        fan = self._fanouts.get(tx.src)
+        outcomes = arbitrate(self.channel, tx, self._links, positions, self._comm_range,
+                             self._blocked, None if fan is None else fan.outcomes)
+        trace = self.trace
+        if trace is not None:
+            for nid, outcome in outcomes.items():
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
-            if outcome == "delivered":
-                delivered.append(nodes[nid])
-            elif outcome == "collided":
-                collided += 1
+        if fan is not None and outcomes is fan.outcomes:  # the frame overlapped nothing
+            delivered, collided, out_of_range = fan.delivered, 0, fan.out_of_range
+        else:
+            nodes = self.nodes
+            delivered = []
+            collided = 0
+            for nid, outcome in outcomes.items():
+                if outcome == "delivered":
+                    delivered.append(nodes[nid])
+                elif outcome == "collided":
+                    collided += 1
+            out_of_range = len(outcomes) - len(delivered) - collided
         counters = self.counters
         counters["delivered"] += len(delivered)
         counters["collided"] += collided
-        counters["out-of-range"] += len(outcomes) - len(delivered) - collided
+        counters["out-of-range"] += out_of_range
         if not delivered:
             return
         # Channel sounding draws one lognormal gain per delivery, in receiver
@@ -584,10 +629,8 @@ class Simulation:
     def _process_fsm_actions(self, node: _Node, actions):
         for action in actions:
             if isinstance(action, SendMessage):
-                self._schedule(
-                    self.now + protocol.TURNAROUND_S,
-                    lambda n=node, a=action: self._send_session_message(n, a),
-                )
+                self._schedule(self.now + protocol.TURNAROUND_S,
+                               self._send_session_message, node, action)
             elif isinstance(action, RangeReady):
                 self._on_range_ready(node, action.value)
 
@@ -619,7 +662,7 @@ class Simulation:
         session.deadline = self.now + protocol.RANGING_TIMEOUT_S
         if not node.timer_pending:
             node.timer_pending = True
-            self._schedule(session.deadline, lambda: self._session_timeout(node))
+            self._schedule(session.deadline, self._session_timeout, node)
 
     def _session_timeout(self, node: _Node):
         session = node.session
@@ -627,7 +670,7 @@ class Simulation:
             node.timer_pending = False  # nothing awaits a reply; a send re-arms
             return
         if session.deadline > self.now:  # re-armed since this event was queued
-            self._schedule(session.deadline, lambda: self._session_timeout(node))
+            self._schedule(session.deadline, self._session_timeout, node)
             return
         node.timer_pending = False
         ranging_fsm_step(session, TIMEOUT, node.nid)
@@ -638,10 +681,7 @@ class Simulation:
             node.exchange_queue = deque(
                 x for x in node.exchange_queue if x != session.responder
             )
-            self._schedule(
-                self.now + protocol.EXCHANGE_GAP_S,
-                lambda n=node: self._next_exchange(n),
-            )
+            self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
 
     # -- chirps --------------------------------------------------------------
 
@@ -656,7 +696,7 @@ class Simulation:
             self._transmit(node, msg, protocol.CHIRP_AIR_S)
             nxt = self.now + chirp_scheduler(self.rng, self.par.chirp_mean_interval_s)
         if nxt < self.duration:
-            self._schedule(nxt, lambda n=node: self._chirp(n))
+            self._schedule(nxt, self._chirp, node)
 
     # -- inference epochs ----------------------------------------------------
 
@@ -680,7 +720,7 @@ class Simulation:
         activation = self.scenario.algorithms.activation
         if activation == "ALOHA":
             delay = protocol.aloha_delay(self.rng)
-            self._schedule(t0 + delay, lambda a=agent: self._begin_hold(a))
+            self._schedule(t0 + delay, self._begin_hold, agent)
         elif activation == "CSMA":
             self._csma_sense(agent)
         else:  # HTNA
@@ -749,10 +789,7 @@ class Simulation:
                 on_busy()
                 return
         self._sensing[agent.nid] = on_busy
-        self._schedule(
-            now + window,
-            lambda a=agent, tok=on_busy, cb=on_idle: self._sense_complete(a, tok, cb),
-        )
+        self._schedule(now + window, self._sense_complete, agent, on_busy, on_idle)
 
     def _sense_complete(self, agent: _Node, token, on_idle):
         if self._sensing.get(agent.nid) is not token:
@@ -773,7 +810,7 @@ class Simulation:
         if delay is None:
             self._finalize(agent)
             return
-        self._schedule(self.now + delay, lambda a=agent: self._csma_sense(a))
+        self._schedule(self.now + delay, self._csma_sense, agent)
 
     def _htna_gate(self, agent: _Node):
         result = agent.proposal
@@ -830,10 +867,7 @@ class Simulation:
     def _on_range_ready(self, node: _Node, value: float):
         node.collected.setdefault(node.session.responder, []).append(value)
         node.session = None
-        self._schedule(
-            self.now + protocol.EXCHANGE_GAP_S,
-            lambda n=node: self._next_exchange(n),
-        )
+        self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
 
     def _finalize(self, agent: _Node):
         activated = agent.in_hold
@@ -892,7 +926,7 @@ class Simulation:
         )
         nxt = max(agent.epoch_t0 + agent.period, self.now)
         if nxt < self.duration:
-            self._schedule(nxt, lambda a=agent: self._epoch(a))
+            self._schedule(nxt, self._epoch, agent)
 
 
 def run(scenario: ScenarioConfig, seed: int | None = None,

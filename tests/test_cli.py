@@ -4,9 +4,16 @@ import json
 
 import pytest
 
-from coopnav.cli import EXIT_CONFIG, EXIT_OK, _parse_seeds, main
+from coopnav import harness, simkernel
+from coopnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION, _parse_seeds, main
 from coopnav.config import load_scenario
-from coopnav.errors import ConfigError, InvalidArgumentError
+from coopnav.errors import (
+    ConfigError,
+    EstimationFailureError,
+    InvalidArgumentError,
+    NumericFailureError,
+    SimulationError,
+)
 from coopnav.harness import replicate
 
 
@@ -165,3 +172,27 @@ class TestUnusableArguments:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: no records to evaluate")
         assert err.count("\n") == 1
+
+
+class TestRunFailures:
+    """An error a run raises that is not about the configuration exits with
+    EXIT_SIMULATION and a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("error", [
+        NumericFailureError("matrix square root of a non-PSD matrix", min_eigenvalue=-1.0),
+        EstimationFailureError("diverged"),
+        SimulationError("event times must be nondecreasing"),
+    ], ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("command", ["run", "replicate"])
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, error, command):
+        def failing(*args, **kwargs):
+            raise error
+
+        # cli runs one seed through simkernel.run, replicate through harness.run
+        monkeypatch.setattr(simkernel if command == "run" else harness, "run", failing)
+        argv = [command, _short_scenario(tmp_path), "--output-dir", str(tmp_path)]
+        if command == "replicate":
+            argv += ["--seeds", "0"]
+        assert main(argv) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert err == f"simulation error: {error}\n"

@@ -1,6 +1,9 @@
 """Tests for metrics, replication, comparison, and scenario configuration."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +135,16 @@ class TestReplication:
         _, pooled = replicate(scen, seeds=[3, 1], node_id=10, workers=2)
         assert [r.seed for r in pooled] == [3, 1]
         assert pooled == sequential
+
+    def test_import_leaves_out_multiprocessing(self):
+        # The process pool's modules load only when replicate makes a pool.
+        code = ("import sys, coopnav; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out == "[]\n"
 
     def test_requires_seeds(self):
         with pytest.raises(InvalidArgumentError):

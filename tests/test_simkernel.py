@@ -189,14 +189,14 @@ class TestArbitrate:
     no position: the positions below hold only what must be read."""
 
     @staticmethod
-    def arbitrate(frames, links, positions, comm_range=10.0, blocked=frozenset()):
+    def arbitrate(frames, links, positions, comm_range=10.0, blocked=frozenset(), clear=None):
         """Outcomes of the first of the (src, start, end, position) frames,
         with all of them on the channel."""
         ch = ChannelState()
         txs = [_tx(*f) for f in frames]
         for tx in txs:
             ch.add(tx)
-        return arbitrate(ch, txs[0], links, positions, comm_range, blocked)
+        return arbitrate(ch, txs[0], links, positions, comm_range, blocked, clear)
 
     def test_delivery_in_range(self):
         out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], _links([1, 2]), {2: (5.0, 0, 0)})
@@ -261,6 +261,24 @@ class TestArbitrate:
         links = _links([1, 2, 3], {(1, 2): True, (2, 3): False})
         out = self.arbitrate(frames, links, {3: (0, 50.0, 0)})
         assert out == {2: "collided", 3: "out-of-range"}
+
+    def test_clear_frame_returns_its_fan_out(self):
+        # A frame that overlaps nothing settles from the sender's clear map
+        # alone: the empty table would raise on any read. A frame that ends
+        # as this one starts does not overlap it.
+        clear = {2: "delivered", 3: "out-of-range"}
+        for frames in ([(1, 0.0, 0.001, [0, 0, 0])],
+                       [(1, 0.001, 0.002, [0, 0, 0]), (2, 0.0, 0.001, [5.0, 0, 0])]):
+            assert self.arbitrate(frames, {}, {}, clear=clear) is clear
+
+    def test_overlapped_frame_ignores_clear(self):
+        # One overlapping frame that node 2 hears: the per-receiver rule
+        # decides, with node 3 half duplex.
+        frames = [(1, 0.0, 0.001, [0, 0, 0]), (3, 0.0005, 0.0015, [1.0, 0, 0])]
+        links = _links([1, 2, 3], {(1, 2): True, (1, 3): True, (2, 3): True})
+        clear = {2: "delivered", 3: "delivered"}
+        out = self.arbitrate(frames, links, {}, clear=clear)
+        assert out == {2: "collided", 3: "collided"}
 
     def test_long_frame_keeps_early_interferer(self):
         # A 10 ms frame from anchor 1 overlaps a short frame from anchor 2 at
@@ -453,21 +471,20 @@ class TestSessionTimeout:
         queued, most = {}, {}
         schedule = sim._schedule
 
-        def counting_schedule(t, fn):
-            code = fn.__code__
-            if "_session_timeout" not in code.co_names:
-                schedule(t, fn)
+        def counting_schedule(t, fn, *args):
+            if fn != sim._session_timeout:
+                schedule(t, fn, *args)
                 return
-            # A timer event; its closure holds the node it belongs to.
-            nid = fn.__closure__[code.co_freevars.index("node")].cell_contents.nid
+            # A timer event; its argument is the node it belongs to.
+            nid = args[0].nid
             queued[nid] = queued.get(nid, 0) + 1
             most[nid] = max(most.get(nid, 0), queued[nid])
 
-            def popped():
+            def popped(*args):
                 queued[nid] -= 1
-                fn()
+                fn(*args)
 
-            schedule(t, popped)
+            schedule(t, popped, *args)
 
         sim._schedule = counting_schedule
         result = sim.run()
@@ -496,6 +513,20 @@ class TestSessionTimeout:
         # The init's timer is superseded: the session fails at the final's.
         assert failed == [0, 0, 1]
         assert result.link_counts == {}
+
+
+class TestEventOrder:
+    def test_same_time_events_run_in_scheduling_order(self):
+        # Ties on time break on scheduling order, also for an event that a
+        # callback at that time schedules: it runs after those queued.
+        sim = _idle_sim()
+        ran = []
+        sim._schedule(0.5, lambda: sim._schedule(0.5, ran.append, "nested"))
+        for i in range(5):
+            sim._schedule(0.5, ran.append, i)
+        sim._schedule(0.25, ran.append, "early")
+        sim.run()
+        assert ran == ["early", 0, 1, 2, 3, 4, "nested"]
 
 
 class TestSubnetViolations:
@@ -805,6 +836,84 @@ class TestFixedLinks:
             comm_range_m=r)), seed=0)
         assert sim._links[1][10] is decided
         assert sim._links[1][11] is True  # static: `hears` at the positions
+
+
+class TestClearFanOut:
+    """A sender whose fixed-link row is fully decided has a clear-frame
+    fan-out: the outcomes, delivered nodes and out-of-range count of a frame
+    that overlaps nothing, each as `hears` per receiver gives it. A frame
+    overlapped by one other frame falls back to the per-receiver rule,
+    collisions and half duplex included. A row with an undecided link gets
+    no fan-out."""
+
+    @staticmethod
+    def check(sim):
+        links, nodes = sim._links, sim.nodes
+        comm_range, blocked = sim._comm_range, sim._blocked
+        # Any positions will do: a decided link is `hears` at all of them
+        # (TestFixedLinks), and arbitrate reads these for undecided ones.
+        pos = {nid: mobility_position(n.traj, 0.0) for nid, n in nodes.items()}
+
+        def heard(a, b):
+            return hears(a, b, simkernel._dist(pos[a], pos[b]), comm_range, blocked)
+
+        fanouts = 0
+        for src, row in links.items():
+            fan = sim._fanouts.get(src)
+            if None in row.values():
+                assert fan is None
+                continue
+            fanouts += 1
+            want = {nid: "delivered" if heard(nid, src) else "out-of-range" for nid in row}
+            assert list(fan.outcomes.items()) == list(want.items())
+            assert fan.delivered == tuple(nodes[nid] for nid in row if want[nid] == "delivered")
+            assert fan.out_of_range == list(want.values()).count("out-of-range")
+            lone = _tx(src, 0.0, 0.001, pos[src])
+            ch = ChannelState()
+            ch.add(lone)
+            assert arbitrate(ch, lone, links, pos, comm_range, blocked, fan.outcomes) is fan.outcomes
+            assert arbitrate(ch, lone, links, pos, comm_range, blocked) == want
+            for o in row:  # one overlapping frame from each other node
+                ch = ChannelState()
+                ch.add(lone)
+                ch.add(_tx(o, 0.0005, 0.0015, pos[o]))
+                out = arbitrate(ch, lone, links, pos, comm_range, blocked, fan.outcomes)
+                assert out is not fan.outcomes
+                assert out == {
+                    nid: "out-of-range" if not heard(nid, src)
+                    else "collided" if nid == o or heard(nid, o)
+                    else "delivered"
+                    for nid in row
+                }
+        return fanouts
+
+    @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
+    def test_bundled(self, name):
+        sim = Simulation(load_scenario(bundled_scenario_path(name)), seed=0)
+        assert self.check(sim) == len(sim.nodes)  # every row is decided
+
+    @pytest.mark.parametrize("name", sorted({name for name, _acronym in SHORT_RANGE}))
+    def test_short_range(self, name):
+        sim = Simulation(_short_range(load_scenario(bundled_scenario_path(name))), seed=0)
+        assert 0 < self.check(sim) < len(sim.nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scen=_fuzz_scenarios())
+    def test_generated(self, scen):
+        self.check(Simulation(scen, seed=0))
+
+    @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
+    def test_run_matches_per_receiver_rule(self, name):
+        # A traced run settles every frame through its fan-out where it can;
+        # without fan-outs every frame takes the per-receiver rule.
+        scen = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration_s=3.0)
+        fast = Simulation(scen, seed=1, collect_trace=True)
+        slow = Simulation(scen, seed=1, collect_trace=True)
+        slow._fanouts = {}
+        a, b = fast.run(), slow.run()
+        assert a.counters == b.counters
+        assert a.trace == b.trace
+        assert a.records_csv() == b.records_csv()
 
 
 class TestLsBelief:
