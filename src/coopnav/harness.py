@@ -29,7 +29,13 @@ def _selected(result: RunResult, node_id: int | None, burn_in_s: float | None) -
 
 
 def _errors(records) -> np.ndarray:
-    return np.array([float(np.linalg.norm(r.est_pos - r.true_pos)) for r in records])
+    """Euclidean position errors of the records, in one pass over their
+    stacked positions; empty for no records."""
+    if not records:
+        return np.empty(0)
+    est = np.array([r.est_pos for r in records])
+    true = np.array([r.true_pos for r in records])
+    return np.linalg.norm(est - true, axis=1)
 
 
 def position_errors(result: RunResult, node_id: int | None = None,
@@ -189,6 +195,7 @@ def compare(scenario: ScenarioConfig, baseline_acronym: str, candidate_acronym: 
             seeds, node_id: int | None = None, workers: int | None = None,
             burn_in_s: float | None = None) -> Comparison:
     """Run both algorithm combinations over the same seeds and compare medians."""
+    seeds = tuple(seeds)  # both runs read it, so a one-shot iterable is kept
     for acr in (baseline_acronym, candidate_acronym):
         if acr not in ACRONYMS:
             raise InvalidArgumentError(f"unknown algorithm acronym {acr!r}")
@@ -210,7 +217,7 @@ def compare(scenario: ScenarioConfig, baseline_acronym: str, candidate_acronym: 
         scenario=scenario.name,
         baseline=baseline_acronym,
         candidate=candidate_acronym,
-        seeds=tuple(seeds),
+        seeds=seeds,
         baseline_rmse_m=b_rmse,
         candidate_rmse_m=c_rmse,
         rmse_change_pct=percent_change(b_rmse, c_rmse),

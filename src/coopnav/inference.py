@@ -214,7 +214,8 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
     nx = prior.dim
     # _unscented_update returns post_cov symmetrized; so is its own block.
-    return GaussianBelief(post_mean[:nx], post_cov[:nx, :nx])
+    # The copies keep the belief from holding a view of the stacked arrays.
+    return GaussianBelief._adopt(post_mean[:nx].copy(), post_cov[:nx, :nx].copy())
 
 
 def ls_estimate(prev, batch: MeasurementBatch) -> np.ndarray:

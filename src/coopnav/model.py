@@ -56,6 +56,23 @@ class GaussianBelief:
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "covariance", c)
 
+    @classmethod
+    def _adopt(cls, mean: np.ndarray, covariance: np.ndarray) -> GaussianBelief:
+        """A belief that takes the caller's arrays as they are: new float
+        arrays that no one else holds, a 1-D mean and an exactly symmetric
+        covariance of its size, as `predict_belief` and `spbp_update` build
+        them. For those the public constructor's shape and symmetry checks
+        pass and its copy and symmetrization return the same bits, so only
+        finiteness is checked. Marks both arrays read-only."""
+        if not (np.isfinite(mean).all() and np.isfinite(covariance).all()):
+            raise InvalidArgumentError("belief components must be finite")
+        mean.setflags(write=False)
+        covariance.setflags(write=False)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "mean", mean)
+        object.__setattr__(belief, "covariance", covariance)
+        return belief
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
@@ -120,7 +137,7 @@ def predict_belief(belief: GaussianBelief, model: MotionModel, dt: float) -> Gau
     a, cw = motion_matrices(model, dt)
     mean = a @ belief.mean
     cov = symmetrize(a @ belief.covariance @ a.T + cw)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief._adopt(mean, cov)
 
 
 def measurement_variance(m: int, xi: float) -> float:

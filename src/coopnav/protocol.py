@@ -263,9 +263,13 @@ def neighbor_update(
 
 def erc_estimate(nlos: bool, gain: float = 1.0) -> float:
     """Channel-quality estimate for a link of the given kind under a drawn
-    multiplicative noise gain, clamped to the usable coefficient range."""
-    base = (ERC_MIN if nlos else ERC_MAX) * gain
-    return float(min(ERC_MAX, max(ERC_MIN, base)))
+    multiplicative noise gain, clamped to the usable coefficient range
+    [ERC_MIN, ERC_MAX]; a NaN gain gives ERC_MIN. Compared, not passed
+    through min and max: this runs once per delivery to an agent."""
+    base = float((ERC_MIN if nlos else ERC_MAX) * gain)
+    if not base > ERC_MIN:
+        return ERC_MIN
+    return base if base < ERC_MAX else ERC_MAX
 
 
 # --- clocks ------------------------------------------------------------------

@@ -222,6 +222,15 @@ class _FanOut:
     outcomes: Mapping  # receiver id -> outcome, read-only, in id order
     delivered: tuple  # the _Nodes that hear the sender, in id order
     out_of_range: int
+    agents: tuple  # (index in delivered, _Node) of each delivered agent
+    by_id: Mapping  # node id -> _Node of each delivered node, read-only
+
+
+def _agent_slots(delivered) -> tuple[tuple, dict]:
+    """The delivered agents, each with its index in `delivered` (and so in
+    the frame's gains), and an id -> node map of all delivered nodes."""
+    agents = tuple((i, node) for i, node in enumerate(delivered) if not node.is_anchor)
+    return agents, {node.nid: node for node in delivered}
 
 
 @dataclass
@@ -355,7 +364,8 @@ class Simulation:
         self._seq = itertools.count()
         self._queue: list = []
         self.channel = ChannelState()
-        self._channel_horizon = max(self.par.msg_air_s, protocol.CHIRP_AIR_S)
+        self._msg_air = self.par.msg_air_s
+        self._channel_horizon = max(self._msg_air, protocol.CHIRP_AIR_S)
         self.records: list[RunRecord] = []
         self.link_counts: dict = {}
         self.trace: list | None = [] if collect_trace else None
@@ -468,8 +478,10 @@ class Simulation:
             outcomes = {nid: "delivered" if heard else "out-of-range"
                         for nid, heard in row.items()}
             delivered = tuple(self.nodes[nid] for nid, heard in row.items() if heard)
+            agents, by_id = _agent_slots(delivered)
             fanouts[src] = _FanOut(MappingProxyType(outcomes), delivered,
-                                   len(row) - len(delivered))
+                                   len(row) - len(delivered), agents,
+                                   MappingProxyType(by_id))
         return fanouts
 
     def _hears_now(self, a: _Node, b: int, b_pos: tuple, t: float) -> bool:
@@ -542,7 +554,8 @@ class Simulation:
     def _transmit(self, node: _Node, msg: Message, air: float):
         start = self.now
         msg.tx_ts = node.clock.ticks(start)
-        tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
+        pos = node.static_pos or self._position(node, start)  # a 3-tuple if static
+        tx = Transmission(node.nid, start, start + air, pos, msg)
         # A frame still in the air started at or after start - horizon, so a
         # frame that ended by then overlaps no live or later frame and no sense
         # window: pruning from the front of the start-ordered frames is enough.
@@ -575,7 +588,8 @@ class Simulation:
             for nid, outcome in outcomes.items():
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
         if fan is not None and outcomes is fan.outcomes:  # the frame overlapped nothing
-            delivered, collided, out_of_range = fan.delivered, 0, fan.out_of_range
+            n_delivered, collided, out_of_range = len(fan.delivered), 0, fan.out_of_range
+            agents, by_id = fan.agents, fan.by_id
         else:
             nodes = self.nodes
             delivered = []
@@ -585,29 +599,36 @@ class Simulation:
                     delivered.append(nodes[nid])
                 elif outcome == "collided":
                     collided += 1
-            out_of_range = len(outcomes) - len(delivered) - collided
+            n_delivered = len(delivered)
+            out_of_range = len(outcomes) - n_delivered - collided
+            agents, by_id = _agent_slots(delivered)
         counters = self.counters
-        counters["delivered"] += len(delivered)
+        counters["delivered"] += n_delivered
         counters["collided"] += collided
         counters["out-of-range"] += out_of_range
-        if not delivered:
+        if not n_delivered:
             return
         # Channel sounding draws one lognormal gain per delivery, in receiver
         # order. Deliveries draw nothing else from the generator, so one batch
         # yields the same stream as one draw per delivery.
         sigma = self.par.erc_noise_sigma
         if sigma > 0:
-            gains = np.exp(self.rng.normal(0.0, sigma, size=len(delivered))).tolist()
+            gains = np.exp(self.rng.normal(0.0, sigma, size=n_delivered)).tolist()
         else:
-            gains = [1.0] * len(delivered)
+            gains = [1.0] * n_delivered
+        # Anchors never run epochs, so nothing reads their neighbor tables:
+        # an anchor's delivery only takes its gain.
         any_nlos = self._any_nlos
-        for node, gain in zip(delivered, gains):
-            if not node.is_anchor:
-                # Anchors never run epochs, so nothing reads their neighbor tables.
-                xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gain)
-                neighbor_update(node.table, msg, end, xi=xi)
-            if msg.dst == node.nid:  # chirps are broadcast (dst None)
-                self._receive(node, tx, _dist(self._position(node, end), tx.src_pos))
+        for i, node in agents:
+            xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gains[i])
+            neighbor_update(node.table, msg, end, xi=xi)
+        # Only the addressee of a unicast frame receives it (chirps have dst
+        # None). Neither a table update nor a reception draws from the
+        # generator or reads what the other changes, so the order is free.
+        node = by_id.get(msg.dst)
+        if node is not None:
+            pos = node.static_pos or self._position(node, end)  # a 3-tuple if static
+            self._receive(node, tx, _dist(pos, tx.src_pos))
 
     def _receive(self, node: _Node, tx: Transmission, dist: float):
         """A unicast frame addressed to `node`, `dist` from its sender, arrived
@@ -628,10 +649,11 @@ class Simulation:
 
     def _process_fsm_actions(self, node: _Node, actions):
         for action in actions:
-            if isinstance(action, SendMessage):
+            cls = type(action)
+            if cls is SendMessage:
                 self._schedule(self.now + protocol.TURNAROUND_S,
                                self._send_session_message, node, action)
-            elif isinstance(action, RangeReady):
+            elif cls is RangeReady:
                 self._on_range_ready(node, action.value)
 
     def _send_session_message(self, node: _Node, action: SendMessage):
@@ -643,11 +665,9 @@ class Simulation:
             # Ranging noise is applied once, at the responder's computation,
             # so both parties share the identical measured value.
             data = {"range": data["range"] + float(self.rng.normal(0.0, self.par.los_sigma_m))}
-        msg = Message(
-            kind=action.kind, src=node.nid, dst=action.dst,
-            payload=node.summary(), data=data,
-        )
-        self._transmit(node, msg, self.par.msg_air_s)
+        # Positional: kind, src, dst, tx_ts, rx_ts, payload, data.
+        msg = Message(action.kind, node.nid, action.dst, None, None, node.summary(), data)
+        self._transmit(node, msg, self._msg_air)
         if action.ts_slot is not None:
             setattr(session, action.ts_slot, msg.tx_ts)
         if action.kind is not MsgKind.RANGING_REPORT:

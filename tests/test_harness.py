@@ -58,6 +58,20 @@ class TestMetrics:
         assert np.allclose(position_errors(res, burn_in_s=1.0), [0.2, 0.3])
         assert position_errors(res, node_id=99).size == 0
 
+    def test_errors_are_root_sum_of_squares(self):
+        # One formula for every error: the square root of the summed squared
+        # coordinate differences of each record, as the benchmark recomputes it.
+        rng = np.random.default_rng(5)
+        res = make_result(list(rng.uniform(0.0, 3.0, size=50)))
+        for r in res.records:
+            r.est_pos = r.true_pos + rng.normal(size=3)
+        diff = (np.array([r.est_pos for r in res.records])
+                - np.array([r.true_pos for r in res.records]))
+        got = position_errors(res)
+        assert got.tobytes() == np.sqrt((diff * diff).sum(axis=1)).tobytes()
+        empty = position_errors(make_result([]))
+        assert empty.shape == (0,) and empty.dtype == float
+
     def test_rmse(self):
         assert rmse([3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
         with pytest.raises(InvalidArgumentError):
@@ -149,6 +163,15 @@ class TestReplication:
     def test_requires_seeds(self):
         with pytest.raises(InvalidArgumentError):
             replicate(self.scenario(), seeds=[])
+
+    def test_compare_reads_seeds_once(self):
+        # Both combinations run over the seeds, so a one-shot iterable must
+        # give what the equal list gives.
+        scen = self.scenario(duration_s=1.0)
+        want = compare(scen, "LS-AL-UN", "BP-AL-UN", seeds=[0, 1], node_id=10)
+        got = compare(scen, "LS-AL-UN", "BP-AL-UN", seeds=(s for s in [0, 1]), node_id=10)
+        assert got == want
+        assert got.seeds == (0, 1)
 
     def test_compare_rejects_unknown_acronym(self):
         with pytest.raises(InvalidArgumentError):

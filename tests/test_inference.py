@@ -31,6 +31,7 @@ from coopnav.inference import (
     spbp_update,
 )
 from coopnav.model import GaussianBelief, symmetrize
+from test_model import assert_adopted
 
 
 def random_spd(rng, n, scale=1.0):
@@ -294,6 +295,23 @@ class TestSpbpUpdate:
         prior = GaussianBelief(np.zeros(6), np.eye(6))
         with pytest.raises(InvalidArgumentError):
             spbp_update(prior, MeasurementBatch(()))
+
+    @pytest.mark.parametrize("p_uncertain", [0.0, 0.5, 1.0])
+    def test_adopts_copies_of_its_blocks(self, p_uncertain):
+        # Anchor-only batches update the prior's own dimension; batches with
+        # agent neighbours stack more, and the belief copies its blocks out.
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            prior = GaussianBelief(rng.normal(size=6) * 3.0,
+                                   random_spd(rng, 6, rng.uniform(0.01, 2.0)))
+            batch = random_batch(rng, int(rng.integers(1, 6)), p_uncertain)
+            assert_adopted(spbp_update(prior, batch))
+
+    def test_nan_range_rejected(self):
+        prior = GaussianBelief(np.zeros(6), np.eye(6))
+        e = MeasurementEntry(1, math.nan, 0.01, np.array([3.0, 0.0, 0.0]), np.zeros((3, 3)))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            spbp_update(prior, MeasurementBatch((e,)))
 
     def test_duplicate_neighbors_rejected(self):
         e = MeasurementEntry(1, 5.0, 0.01, np.zeros(3), np.zeros((3, 3)))

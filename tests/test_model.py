@@ -26,6 +26,18 @@ def random_spd(rng, n, scale=1.0):
     return scale * (a @ a.T + n * np.eye(n))
 
 
+def assert_adopted(b: GaussianBelief):
+    """b, as the filter builds it through GaussianBelief._adopt: read-only
+    arrays that view no other array, with the bits the public constructor
+    gives the same inputs."""
+    ref = GaussianBelief(b.mean, b.covariance)
+    for got, want in ((b.mean, ref.mean), (b.covariance, ref.covariance)):
+        assert not got.flags.writeable
+        assert got.base is None
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGaussianBelief:
     def test_validates_symmetry(self):
         cov = np.eye(STATE_DIM)
@@ -144,6 +156,20 @@ class TestMotion:
         out = predict_belief(b, DEFAULT_MOTION, 2.0)
         assert np.allclose(out.mean[:3], [2.0, -4.0, 1.0])
         assert np.allclose(out.mean[3:], mean[3:])
+
+    def test_predict_adopts_its_new_arrays(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            prior = GaussianBelief(rng.normal(size=STATE_DIM) * 5.0,
+                                   random_spd(rng, STATE_DIM, 10.0 ** rng.uniform(-6, 2)))
+            dt = float(rng.choice([0.0, 0.025, rng.uniform(0.0, 3.0)]))
+            assert_adopted(predict_belief(prior, DEFAULT_MOTION, dt))
+
+    def test_predict_overflow_rejected(self):
+        prior = GaussianBelief(np.zeros(STATE_DIM), 1e307 * np.eye(STATE_DIM))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                predict_belief(prior, DEFAULT_MOTION, 1e3)
 
     def test_predict_matches_monte_carlo(self):
         # Oracle: propagate samples through the linear model directly.

@@ -1,6 +1,8 @@
 """Tests for the simulated radio firmware: ranging math and state machine,
 discovery, sounding, clocks, and channel-access policies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,6 +291,17 @@ class TestSoundChannel:
         rng = np.random.default_rng(0)
         vals = [noisy_erc(n, rng, 0.5) for n in (True, False) for _ in range(200)]
         assert all(ERC_MIN <= v <= ERC_MAX for v in vals)
+
+    @pytest.mark.parametrize("nlos", [False, True])
+    def test_clamp_matches_min_max(self, nlos):
+        gains = [0.0, -1.0, 0.16, 0.999999, 1.0, 1.000001, 6.25, 6.3, 1e300,
+                 math.inf, -math.inf, math.nan, np.float64(0.5), np.float64(7.0)]
+        gains += list(np.exp(np.random.default_rng(2).normal(0.0, 1.0, 200)))
+        for gain in gains:
+            base = (ERC_MIN if nlos else ERC_MAX) * gain
+            want = float(min(ERC_MAX, max(ERC_MIN, base)))
+            got = erc_estimate(nlos, gain)
+            assert type(got) is float and got == want, gain
 
     def test_los_beats_nlos_on_average(self):
         rng = np.random.default_rng(1)

@@ -841,7 +841,9 @@ class TestFixedLinks:
 class TestClearFanOut:
     """A sender whose fixed-link row is fully decided has a clear-frame
     fan-out: the outcomes, delivered nodes and out-of-range count of a frame
-    that overlaps nothing, each as `hears` per receiver gives it. A frame
+    that overlaps nothing, each as `hears` per receiver gives it, and its
+    agent slots: each delivered agent with its index among the delivered
+    nodes (so in the frame's gains), and the delivered nodes by id. A frame
     overlapped by one other frame falls back to the per-receiver rule,
     collisions and half duplex included. A row with an undecided link gets
     no fan-out."""
@@ -866,8 +868,14 @@ class TestClearFanOut:
             fanouts += 1
             want = {nid: "delivered" if heard(nid, src) else "out-of-range" for nid in row}
             assert list(fan.outcomes.items()) == list(want.items())
-            assert fan.delivered == tuple(nodes[nid] for nid in row if want[nid] == "delivered")
+            heard_ids = [nid for nid in row if want[nid] == "delivered"]
+            assert fan.delivered == tuple(nodes[nid] for nid in heard_ids)
             assert fan.out_of_range == list(want.values()).count("out-of-range")
+            assert fan.agents == tuple((i, nodes[nid]) for i, nid in enumerate(heard_ids)
+                                       if not nodes[nid].is_anchor)
+            assert dict(fan.by_id) == {nid: nodes[nid] for nid in heard_ids}
+            with pytest.raises(TypeError):
+                fan.by_id[src] = nodes[src]
             lone = _tx(src, 0.0, 0.001, pos[src])
             ch = ChannelState()
             ch.add(lone)
@@ -905,7 +913,8 @@ class TestClearFanOut:
     @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
     def test_run_matches_per_receiver_rule(self, name):
         # A traced run settles every frame through its fan-out where it can;
-        # without fan-outs every frame takes the per-receiver rule.
+        # without fan-outs every frame takes the per-receiver rule, and its
+        # agent slots come from the per-receiver outcomes.
         scen = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration_s=3.0)
         fast = Simulation(scen, seed=1, collect_trace=True)
         slow = Simulation(scen, seed=1, collect_trace=True)
