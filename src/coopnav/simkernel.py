@@ -217,20 +217,14 @@ def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: d
 
 @dataclass(frozen=True, slots=True)
 class _FanOut:
-    """What a frame of one sender does when it overlaps no other frame."""
+    """How a frame settles, from its per-receiver outcomes."""
 
-    outcomes: Mapping  # receiver id -> outcome, read-only, in id order
-    delivered: tuple  # the _Nodes that hear the sender, in id order
+    outcomes: Mapping  # receiver id -> outcome, in receiver order
+    delivered: tuple  # the _Nodes that receive the frame, in receiver order
+    collided: int
     out_of_range: int
     agents: tuple  # (index in delivered, _Node) of each delivered agent
     by_id: Mapping  # node id -> _Node of each delivered node, read-only
-
-
-def _agent_slots(delivered) -> tuple[tuple, dict]:
-    """The delivered agents, each with its index in `delivered` (and so in
-    the frame's gains), and an id -> node map of all delivered nodes."""
-    agents = tuple((i, node) for i, node in enumerate(delivered) if not node.is_anchor)
-    return agents, {node.nid: node for node in delivered}
 
 
 @dataclass
@@ -378,8 +372,8 @@ class Simulation:
             "failed_exchanges": 0,
         }
         self._link_excess: dict = {}
-        # Carrier sense: node id -> busy callback of its open sense window. The
-        # callback is the window's token; a window that lost it was closed busy.
+        # Carrier sense: node id -> token of its open sense window; a window
+        # whose token is gone was closed busy.
         self._sensing: dict = {}
         self._comm_range = scenario.link_truth.comm_range_m
         self._blocked = frozenset(link_key(*p) for p in scenario.link_truth.blocked_pairs)
@@ -475,14 +469,26 @@ class Simulation:
         for src, row in self._links.items():
             if None in row.values():
                 continue
-            outcomes = {nid: "delivered" if heard else "out-of-range"
-                        for nid, heard in row.items()}
-            delivered = tuple(self.nodes[nid] for nid, heard in row.items() if heard)
-            agents, by_id = _agent_slots(delivered)
-            fanouts[src] = _FanOut(MappingProxyType(outcomes), delivered,
-                                   len(row) - len(delivered), agents,
-                                   MappingProxyType(by_id))
+            fanouts[src] = self._fan_out(MappingProxyType(
+                {nid: "delivered" if heard else "out-of-range" for nid, heard in row.items()}))
         return fanouts
+
+    def _fan_out(self, outcomes: Mapping) -> _FanOut:
+        """The settle of a frame with these outcomes: its delivered nodes, the
+        delivered agents each with its index among them (and so in the
+        frame's gains), and an id -> node map of the delivered nodes."""
+        nodes = self.nodes
+        delivered = []
+        collided = 0
+        for nid, outcome in outcomes.items():
+            if outcome == "delivered":
+                delivered.append(nodes[nid])
+            elif outcome == "collided":
+                collided += 1
+        agents = tuple((i, node) for i, node in enumerate(delivered) if not node.is_anchor)
+        return _FanOut(outcomes, tuple(delivered), collided,
+                       len(outcomes) - len(delivered) - collided, agents,
+                       MappingProxyType({node.nid: node for node in delivered}))
 
     def _hears_now(self, a: _Node, b: int, b_pos: tuple, t: float) -> bool:
         """Whether node a hears node b, at b_pos, at time t: the fixed entry
@@ -566,11 +572,11 @@ class Simulation:
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
         for nid in self._links[node.nid] if sensing else ():
-            on_busy = sensing.get(nid)
-            if on_busy is not None and self._hears_now(self.nodes[nid], node.nid,
-                                                       tx.src_pos, start):
-                del sensing[nid]
-                on_busy()
+            if nid in sensing:
+                agent = self.nodes[nid]
+                if self._hears_now(agent, node.nid, tx.src_pos, start):
+                    del sensing[nid]
+                    self._sense_busy(agent)
         self._schedule(tx.end, self._tx_end, tx)
         return tx
 
@@ -587,25 +593,13 @@ class Simulation:
         if trace is not None:
             for nid, outcome in outcomes.items():
                 trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
-        if fan is not None and outcomes is fan.outcomes:  # the frame overlapped nothing
-            n_delivered, collided, out_of_range = len(fan.delivered), 0, fan.out_of_range
-            agents, by_id = fan.agents, fan.by_id
-        else:
-            nodes = self.nodes
-            delivered = []
-            collided = 0
-            for nid, outcome in outcomes.items():
-                if outcome == "delivered":
-                    delivered.append(nodes[nid])
-                elif outcome == "collided":
-                    collided += 1
-            n_delivered = len(delivered)
-            out_of_range = len(outcomes) - n_delivered - collided
-            agents, by_id = _agent_slots(delivered)
+        if fan is None or outcomes is not fan.outcomes:  # contested, or an undecided row
+            fan = self._fan_out(outcomes)
+        n_delivered = len(fan.delivered)
         counters = self.counters
         counters["delivered"] += n_delivered
-        counters["collided"] += collided
-        counters["out-of-range"] += out_of_range
+        counters["collided"] += fan.collided
+        counters["out-of-range"] += fan.out_of_range
         if not n_delivered:
             return
         # Channel sounding draws one lognormal gain per delivery, in receiver
@@ -619,13 +613,13 @@ class Simulation:
         # Anchors never run epochs, so nothing reads their neighbor tables:
         # an anchor's delivery only takes its gain.
         any_nlos = self._any_nlos
-        for i, node in agents:
+        for i, node in fan.agents:
             xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gains[i])
             neighbor_update(node.table, msg, end, xi=xi)
         # Only the addressee of a unicast frame receives it (chirps have dst
         # None). Neither a table update nor a reception draws from the
         # generator or reads what the other changes, so the order is free.
-        node = by_id.get(msg.dst)
+        node = fan.by_id.get(msg.dst)
         if node is not None:
             pos = node.static_pos or self._position(node, end)  # a 3-tuple if static
             self._receive(node, tx, _dist(pos, tx.src_pos))
@@ -644,7 +638,7 @@ class Simulation:
             session = node.session = RangingSession(initiator=msg.src, responder=node.nid)
         actions = ranging_fsm_step(session, msg, node.nid)
         self._process_fsm_actions(node, actions)
-        if session.phase in (Phase.DONE, Phase.FAILED) and not actions:
+        if session.phase is Phase.FAILED:  # a garbled final; DONE still sends its report
             node.session = None
 
     def _process_fsm_actions(self, node: _Node, actions):
@@ -742,13 +736,9 @@ class Simulation:
             delay = protocol.aloha_delay(self.rng)
             self._schedule(t0 + delay, self._begin_hold, agent)
         elif activation == "CSMA":
-            self._csma_sense(agent)
+            self._start_sense(agent, protocol.CSMA_SENSE_S)
         else:  # HTNA
-            self._start_sense(
-                agent, protocol.htna_sense_window(self.par.t_m_s, self.rng),
-                on_idle=lambda a=agent: self._htna_gate(a),
-                on_busy=lambda a=agent: self._finalize(a),
-            )
+            self._start_sense(agent, protocol.htna_sense_window(self.par.t_m_s, self.rng))
 
     def _eligible_neighbors(self, agent: _Node) -> list:
         out = []
@@ -800,37 +790,40 @@ class Simulation:
         links = tuple(operation.LinkInfo(*link) for link in agent.links)
         return operation.AllocationProblem(agent.belief.covariance[:3, :3], links, budget)
 
-    def _start_sense(self, agent: _Node, window: float, on_idle, on_busy):
+    def _start_sense(self, agent: _Node, window: float):
+        """Open a sense window of the agent: busy at once if it hears a frame
+        already in the air, else busy at the first frame that it hears
+        starting (see `_transmit`), else idle when the window ends."""
         now = self.now
         for tx in self.channel.recent:  # a frame already in the air
             if tx.src == agent.nid or not tx.start <= now < tx.end:
                 continue
             if self._hears_now(agent, tx.src, tx.src_pos, now):
-                on_busy()
+                self._sense_busy(agent)
                 return
-        self._sensing[agent.nid] = on_busy
-        self._schedule(now + window, self._sense_complete, agent, on_busy, on_idle)
+        token = self._sensing[agent.nid] = object()
+        self._schedule(now + window, self._sense_complete, agent, token)
 
-    def _sense_complete(self, agent: _Node, token, on_idle):
+    def _sense_busy(self, agent: _Node):
+        """CSMA backs off and senses again, until its attempts run out; HTNA
+        skips the epoch."""
+        if self.scenario.algorithms.activation == "CSMA":
+            delay = protocol.csma_backoff(agent.csma_attempt, self.rng)
+            agent.csma_attempt += 1
+            if delay is not None:
+                self._schedule(self.now + delay, self._start_sense, agent, protocol.CSMA_SENSE_S)
+                return
+        self._finalize(agent)
+
+    def _sense_complete(self, agent: _Node, token):
+        """The window of `token` ends idle, unless it was closed busy."""
         if self._sensing.get(agent.nid) is not token:
-            return  # was closed by a busy channel
-        del self._sensing[agent.nid]
-        on_idle()
-
-    def _csma_sense(self, agent: _Node):
-        self._start_sense(
-            agent, protocol.CSMA_SENSE_S,
-            on_idle=lambda: self._begin_hold(agent),
-            on_busy=lambda: self._csma_busy(agent),
-        )
-
-    def _csma_busy(self, agent: _Node):
-        delay = protocol.csma_backoff(agent.csma_attempt, self.rng)
-        agent.csma_attempt += 1
-        if delay is None:
-            self._finalize(agent)
             return
-        self._schedule(self.now + delay, self._csma_sense, agent)
+        del self._sensing[agent.nid]
+        if self.scenario.algorithms.activation == "CSMA":
+            self._begin_hold(agent)
+        else:  # HTNA
+            self._htna_gate(agent)
 
     def _htna_gate(self, agent: _Node):
         result = agent.proposal

@@ -2,6 +2,7 @@
 arbitration and sensing, determinism, and end-to-end estimation sanity."""
 
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coopnav import inference, operation, simkernel
+from coopnav import inference, operation, protocol, simkernel
 from coopnav.config import (
     ACRONYMS,
     AgentSpec,
@@ -33,6 +34,8 @@ from coopnav.errors import (
 from coopnav.operation import AllocationProblem, AllocationResult, LinkInfo
 from coopnav.protocol import (
     CHIRP_AIR_S,
+    CSMA_MAX_ATTEMPTS,
+    CSMA_SENSE_S,
     RANGING_TIMEOUT_S,
     TURNAROUND_S,
     Message,
@@ -312,6 +315,14 @@ class TestChannelSounding:
             assert a.random() == b.random()
 
 
+def _record_sense(sim, calls):
+    """Stub the ends of every sense window: append ("busy", time) where one
+    is closed busy and ("idle", time) where one ends idle (CSMA's hold and
+    HTNA's gate) to calls."""
+    sim._sense_busy = lambda agent: calls.append(("busy", sim.now))
+    sim._begin_hold = sim._htna_gate = lambda agent: calls.append(("idle", sim.now))
+
+
 class _EagerChannel(ChannelState):
     """A channel that forgets every expired frame, wherever it sits."""
 
@@ -342,7 +353,7 @@ class TestChannelState:
         anchors 3 and 4 send overlapping chirps once that chirp has expired
         but frame 1 has not, and anchor 2 chirps again once both have.
         Agent 10 senses across the overlap and later in a quiet window.
-        Returns the trace, the sense callbacks and the senders on the
+        Returns the trace, the sense outcomes and the senders on the
         channel just after anchor 4's chirp went out."""
         par = dataclasses.replace(Parameters(), msg_air_s=0.01)
         a = CHIRP_AIR_S
@@ -351,12 +362,9 @@ class TestChannelState:
         sim = _frames_only(small_scenario(parameters=par), frames, collect_trace=True)
         sim.channel = channel
         calls, on_air = [], []
+        _record_sense(sim, calls)
         for start, window in ((0.0112, 0.002), (0.018, 0.001)):
-            sim._schedule(start, lambda w=window: sim._start_sense(
-                sim.nodes[10], w,
-                on_idle=lambda: calls.append(("idle", sim.now)),
-                on_busy=lambda: calls.append(("busy", sim.now)),
-            ))
+            sim._schedule(start, sim._start_sense, sim.nodes[10], window)
         sim._schedule(0.01165, lambda: on_air.extend(t.src for t in sim.channel.recent))
         return sim.run().trace, calls, on_air
 
@@ -377,14 +385,11 @@ class TestChannelSense:
     @staticmethod
     def sense(frames, start=0.001, window=0.002, **over):
         """Run only the given (time, anchor id, airtime) frames and one sense
-        window of agent 10; return its (outcome, time) callbacks."""
+        window of agent 10; return its (outcome, time) ends."""
         sim = _frames_only(small_scenario(**over), frames)
         calls = []
-        sim._schedule(start, lambda: sim._start_sense(
-            sim.nodes[10], window,
-            on_idle=lambda: calls.append(("idle", sim.now)),
-            on_busy=lambda: calls.append(("busy", sim.now)),
-        ))
+        _record_sense(sim, calls)
+        sim._schedule(start, sim._start_sense, sim.nodes[10], window)
         sim.run()
         return calls
 
@@ -406,6 +411,43 @@ class TestChannelSense:
 
     def test_zero_window_idle(self):
         assert self.sense([], window=0.0) == [("idle", 0.001)]
+
+
+class TestSenseWindowToken:
+    """A window closed busy loses its token, so its end, still queued, ends
+    nothing: not even a window that a CSMA backoff opened before it."""
+
+    def test_stale_end_spares_reopened_window(self, monkeypatch):
+        # Window k opens at k * (offset + backoff) and a short frame of anchor
+        # 1 closes it busy `offset` later. Each window lasts CSMA_SENSE_S, so
+        # window 0 ends while window 2 is open.
+        offset, backoff, air = 1.2e-4, 1e-4, 1e-5
+        assert 2 * (offset + backoff) < CSMA_SENSE_S < 2 * (offset + backoff) + offset
+        monkeypatch.setattr(protocol, "csma_backoff", lambda attempt, _rng: (
+            None if attempt >= CSMA_MAX_ATTEMPTS else backoff))
+        sim = _idle_sim(algorithms=Algorithms("SPBP", "CSMA", "UNIFORM"))
+        agent, anchor = sim.nodes[10], sim.nodes[1]
+        held, ends = [], []
+        sim._begin_hold = held.append
+        sense_complete = sim._sense_complete
+
+        def recording(node, token):
+            open_token = sim._sensing.get(node.nid)
+            ends.append("none" if open_token is None
+                        else "own" if open_token is token else "other")
+            sense_complete(node, token)
+
+        sim._sense_complete = recording
+        sim._schedule(0.0, sim._start_sense, agent, CSMA_SENSE_S)
+        for k in range(CSMA_MAX_ATTEMPTS + 1):
+            sim._schedule(k * (offset + backoff) + offset, sim._transmit, anchor,
+                          Message(MsgKind.CHIRP, 1, None), air)
+        result = sim.run()
+        assert held == []
+        assert len(ends) == CSMA_MAX_ATTEMPTS + 1  # every window was closed busy
+        assert "own" not in ends and "other" in ends
+        assert agent.csma_attempt == CSMA_MAX_ATTEMPTS + 1
+        assert [(r.node_id, r.activated, r.n_meas) for r in result.records] == [(10, 0, 0)]
 
 
 TWO_AGENTS = (
@@ -513,6 +555,22 @@ class TestSessionTimeout:
         # The init's timer is superseded: the session fails at the final's.
         assert failed == [0, 0, 1]
         assert result.link_counts == {}
+
+    def test_stray_frame_spares_pending_report(self):
+        sim = _idle_sim()
+        ta, air = TURNAROUND_S, sim.par.msg_air_s
+        # Agent 11 ranges with node 10 at 0: node 10 receives the final at
+        # 3 ta + 3 air and sends its report ta later. A frame of anchor 1 to
+        # node 10 ends inside that turnaround; the lockout drops it, and the
+        # report must still go out.
+        _exchange_at(sim, 0.0, 11, 10)
+        anchor = sim.nodes[1]
+        stray = Message(MsgKind.RANGING_INIT, 1, 10, payload=anchor.summary())
+        sim._schedule(3 * ta + 3 * air + ta / 4, sim._transmit, anchor, stray, ta / 4)
+        result = sim.run()
+        assert result.counters["failed_exchanges"] == 0
+        assert result.counters["collided"] == 0
+        assert result.link_counts == {(11, 10): 1}
 
 
 class TestEventOrder:
@@ -840,13 +898,28 @@ class TestFixedLinks:
 
 class TestClearFanOut:
     """A sender whose fixed-link row is fully decided has a clear-frame
-    fan-out: the outcomes, delivered nodes and out-of-range count of a frame
-    that overlaps nothing, each as `hears` per receiver gives it, and its
-    agent slots: each delivered agent with its index among the delivered
-    nodes (so in the frame's gains), and the delivered nodes by id. A frame
-    overlapped by one other frame falls back to the per-receiver rule,
-    collisions and half duplex included. A row with an undecided link gets
-    no fan-out."""
+    fan-out: the settle of a frame that overlaps nothing, with outcomes as
+    `hears` per receiver gives them. A settle holds the delivered nodes, the
+    collided and out-of-range counts, the agent slots (each delivered agent
+    with its index among the delivered nodes, so in the frame's gains) and
+    the delivered nodes by id. A frame overlapped by one other frame falls
+    back to the per-receiver rule, collisions and half duplex included, and
+    settles through `_fan_out` of its outcomes. A row with an undecided link
+    gets no fan-out."""
+
+    @staticmethod
+    def assert_settles(fan, outcomes, nodes):
+        """fan is the settle of the plain outcome map `outcomes`."""
+        assert list(fan.outcomes.items()) == list(outcomes.items())
+        heard_ids = [nid for nid, outcome in outcomes.items() if outcome == "delivered"]
+        assert fan.delivered == tuple(nodes[nid] for nid in heard_ids)
+        assert fan.collided == list(outcomes.values()).count("collided")
+        assert fan.out_of_range == list(outcomes.values()).count("out-of-range")
+        assert fan.agents == tuple((i, nodes[nid]) for i, nid in enumerate(heard_ids)
+                                   if not nodes[nid].is_anchor)
+        assert dict(fan.by_id) == {nid: nodes[nid] for nid in heard_ids}
+        with pytest.raises(TypeError):
+            fan.by_id[0] = None
 
     @staticmethod
     def check(sim):
@@ -867,15 +940,8 @@ class TestClearFanOut:
                 continue
             fanouts += 1
             want = {nid: "delivered" if heard(nid, src) else "out-of-range" for nid in row}
-            assert list(fan.outcomes.items()) == list(want.items())
-            heard_ids = [nid for nid in row if want[nid] == "delivered"]
-            assert fan.delivered == tuple(nodes[nid] for nid in heard_ids)
-            assert fan.out_of_range == list(want.values()).count("out-of-range")
-            assert fan.agents == tuple((i, nodes[nid]) for i, nid in enumerate(heard_ids)
-                                       if not nodes[nid].is_anchor)
-            assert dict(fan.by_id) == {nid: nodes[nid] for nid in heard_ids}
-            with pytest.raises(TypeError):
-                fan.by_id[src] = nodes[src]
+            assert fan.collided == 0
+            TestClearFanOut.assert_settles(fan, want, nodes)
             lone = _tx(src, 0.0, 0.001, pos[src])
             ch = ChannelState()
             ch.add(lone)
@@ -887,12 +953,16 @@ class TestClearFanOut:
                 ch.add(_tx(o, 0.0005, 0.0015, pos[o]))
                 out = arbitrate(ch, lone, links, pos, comm_range, blocked, fan.outcomes)
                 assert out is not fan.outcomes
-                assert out == {
+                contested = {
                     nid: "out-of-range" if not heard(nid, src)
                     else "collided" if nid == o or heard(nid, o)
                     else "delivered"
                     for nid in row
                 }
+                assert out == contested
+                settle = sim._fan_out(out)
+                assert settle.outcomes is out
+                TestClearFanOut.assert_settles(settle, contested, nodes)
         return fanouts
 
     @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
@@ -912,9 +982,9 @@ class TestClearFanOut:
 
     @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
     def test_run_matches_per_receiver_rule(self, name):
-        # A traced run settles every frame through its fan-out where it can;
-        # without fan-outs every frame takes the per-receiver rule, and its
-        # agent slots come from the per-receiver outcomes.
+        # A traced run settles every clear frame through its fan-out; without
+        # fan-outs every frame takes the per-receiver rule and settles through
+        # `_fan_out` of its outcomes.
         scen = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration_s=3.0)
         fast = Simulation(scen, seed=1, collect_trace=True)
         slow = Simulation(scen, seed=1, collect_trace=True)
@@ -923,6 +993,33 @@ class TestClearFanOut:
         assert a.counters == b.counters
         assert a.trace == b.trace
         assert a.records_csv() == b.records_csv()
+
+
+class TestClosureFreeEvents:
+    """Every event the kernel queues is a bound method of the simulation
+    with plain arguments: no closure and no callback."""
+
+    @pytest.mark.parametrize("acronym", ["BP-AL-UN", "BP-CS-UN", "BP-HT-UN"])
+    def test_events_are_bound_methods(self, acronym, monkeypatch):
+        queued = []
+        schedule = Simulation._schedule
+
+        def recording(self, t, fn, *args):
+            queued.append((self, fn, args))
+            schedule(self, t, fn, *args)
+
+        monkeypatch.setattr(Simulation, "_schedule", recording)
+        scen = load_scenario(bundled_scenario_path("three_agent_activation"))
+        sim = Simulation(dataclasses.replace(scen, duration_s=2.0).with_algorithms(acronym),
+                         seed=0)
+        sim.run()
+        for owner, fn, args in queued:
+            assert owner is sim
+            assert inspect.ismethod(fn) and fn.__self__ is sim, fn
+            assert not any(callable(arg) for arg in args), (fn, args)
+        names = {fn.__name__ for _owner, fn, _args in queued}
+        assert {"_epoch", "_chirp", "_tx_end", "_send_session_message"} <= names
+        assert ("_sense_complete" in names) is (acronym != "BP-AL-UN")
 
 
 class TestLsBelief:
