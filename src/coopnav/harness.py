@@ -104,6 +104,9 @@ class MetricReport:
     e_th_80_m: float  # error threshold at 20% outage
     meas_rate_hz: float
     activation_fraction: float
+    # Median of err^2 / cov_trace: about 0.79 (median of chi2(3) / 3) for a
+    # consistent filter, far above for an overconfident one; NaN for LS.
+    consistency: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -119,6 +122,7 @@ def evaluate(result: RunResult, node_id: int | None = None,
             + ("" if not burn_in_s else f" after the {burn_in_s:g} s burn-in")
         )
     errors = _errors(recs)
+    cov_traces = np.array([r.cov_trace for r in recs])
     activated = sum(r.activated for r in recs)
     return MetricReport(
         scenario=result.scenario,
@@ -129,6 +133,7 @@ def evaluate(result: RunResult, node_id: int | None = None,
         e_th_80_m=outage_threshold(errors, 0.2),
         meas_rate_hz=measurement_rate(result),
         activation_fraction=activated / len(recs),
+        consistency=float(np.median(errors * errors / cov_traces)),
     )
 
 
@@ -232,7 +237,8 @@ def compare(scenario: ScenarioConfig, baseline_acronym: str, candidate_acronym: 
 
 def reports_csv(reports) -> str:
     """Seed-level metric reports as CSV text."""
-    header = "scenario,seed,node_id,n_samples,rmse_m,e_th_80_m,meas_rate_hz,activation_fraction"
+    header = ("scenario,seed,node_id,n_samples,rmse_m,e_th_80_m,meas_rate_hz,"
+              "activation_fraction,consistency")
     lines = [header]
     for r in reports:
         lines.append(
@@ -246,6 +252,7 @@ def reports_csv(reports) -> str:
                     f"{r.e_th_80_m:.9f}",
                     f"{r.meas_rate_hz:.9f}",
                     f"{r.activation_fraction:.9f}",
+                    f"{r.consistency:.9f}",
                 ]
             )
         )

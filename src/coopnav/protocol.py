@@ -5,21 +5,24 @@ chirp-based neighbor discovery, the channel-quality estimate, and the three
 channel-access policies. State machines here are pure with respect to
 the channel: the simulation kernel stamps timestamps and moves messages.
 
-Ranging exchange layout (initiator I, responder R):
+Ranging exchange layout (initiator I, responder R), with the `Message`
+fields each frame carries beside its own `tx_ts` and `rx_ts`:
 
-    I --init-->  R     t1 = I tx, t2 = R rx
-    I <--resp--  R     t3 = R tx, t4 = I rx
-    I --final--> R     t5 = I tx (carries t1, t4), t6 = R rx
-    I <-report-- R     carries the range computed by R from t1..t6
+    frame             timestamps              fields
+    I --init-->  R    t1 = I tx, t2 = R rx    -
+    I <--resp--  R    t3 = R tx, t4 = I rx    -
+    I --final--> R    t5 = I tx, t6 = R rx    t1, t4
+    I <-report-- R    -                       range_m, computed by R from t1..t6
 
 Only the responder holds all six timestamps; the report gives the initiator
-the same value.
+the same value. Each side reads its own transmit time (I's t1, R's t3) from
+the last message its session sent.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +75,9 @@ class Message:
     tx_ts: float | None = None  # local-clock ticks at the sender
     rx_ts: float | None = None  # local-clock ticks at the receiver
     payload: StateSummary | None = None
-    data: dict = field(default_factory=dict)
+    t1: float | None = None  # on a final: the init's tx_ts
+    t4: float | None = None  # on a final: the response's rx_ts
+    range_m: float | None = None  # on a report: the responder's range
 
 
 def twr_range(t1, t2, t3, t4, t5, t6) -> float:
@@ -107,34 +112,15 @@ TIMEOUT = object()  # sentinel event for ranging_fsm_step
 
 
 @dataclass(slots=True)
-class SendMessage:
-    """FSM output: transmit a message; ts_slot names the session timestamp
-    the driver must fill with the actual transmit timestamp."""
-
-    kind: MsgKind
-    dst: object
-    data: dict = field(default_factory=dict)
-    ts_slot: str | None = None
-
-
-@dataclass(slots=True)
-class RangeReady:
-    """FSM output: the initiator's exchange produced a range value [m]."""
-
-    value: float
-
-
-@dataclass(slots=True)
 class RangingSession:
-    """One node's view of an exchange. It keeps the timestamps it reads: the
-    initiator t1, the responder t2 and t3 for the range it computes."""
+    """One node's view of an exchange: the responder keeps t2, and both sides
+    keep the last message they sent, whose tx_ts the channel stamps."""
 
     initiator: object
     responder: object
     phase: Phase = Phase.IDLE
-    t1: float | None = None
     t2: float | None = None
-    t3: float | None = None
+    sent: Message | None = None
     # Simulation time at which the session fails unless its partner replies;
     # each send that awaits a reply moves it.
     deadline: float | None = None
@@ -148,58 +134,60 @@ class RangingSession:
         )
 
 
-def begin_ranging(session: RangingSession) -> list:
-    """Initiator kickoff: send the init message and await the response."""
+def begin_ranging(session: RangingSession) -> Message:
+    """Initiator kickoff: return the init message and await the response."""
     if session.phase is not Phase.IDLE:
         raise InvalidArgumentError("session already started")
     session.phase = Phase.AWAITING_RESP
-    return [SendMessage(MsgKind.RANGING_INIT, session.responder, ts_slot="t1")]
+    session.sent = Message(MsgKind.RANGING_INIT, session.initiator, session.responder)
+    return session.sent
 
 
-def ranging_fsm_step(session: RangingSession, event, node) -> list:
+def ranging_fsm_step(session: RangingSession, event, node) -> Message | None:
     """Deterministic transition table for one node's view of a ranging session;
-    returns the actions it emits.
+    returns the one message the node sends in reply, or None.
 
     `event` is a received Message or the TIMEOUT sentinel. Unexpected messages
     (wrong sender during lockout, wrong kind for the phase) are dropped and
-    leave the session unchanged.
+    leave the session unchanged. The initiator's session ends DONE on the
+    report, whose `range_m` is the exchange's range.
     """
     if event is TIMEOUT:
         if session.active:
             session.phase = Phase.FAILED
-        return []
+        return None
     msg = event
     if msg.src != (session.responder if node == session.initiator else session.initiator):
-        return []  # lockout: only accept messages from the partner
+        return None  # lockout: only accept messages from the partner
 
     if node == session.responder:
         if session.phase is Phase.IDLE and msg.kind is MsgKind.RANGING_INIT:
             session.t2 = msg.rx_ts
             session.phase = Phase.AWAITING_FINAL
-            return [SendMessage(MsgKind.RANGING_RESP, session.initiator, ts_slot="t3")]
+            session.sent = Message(MsgKind.RANGING_RESP, node, session.initiator)
+            return session.sent
         if session.phase is Phase.AWAITING_FINAL and msg.kind is MsgKind.RANGING_FINAL:
             try:
-                value = twr_range(
-                    msg.data["t1"], session.t2, session.t3,
-                    msg.data["t4"], msg.tx_ts, msg.rx_ts,
-                )
+                value = twr_range(msg.t1, session.t2, session.sent.tx_ts,
+                                  msg.t4, msg.tx_ts, msg.rx_ts)
             except RangingError:
                 session.phase = Phase.FAILED
-                return []
+                return None
             session.phase = Phase.DONE
-            return [SendMessage(MsgKind.RANGING_REPORT, session.initiator,
-                                data={"range": value})]
-        return []
+            session.sent = Message(MsgKind.RANGING_REPORT, node, session.initiator,
+                                   range_m=value)
+            return session.sent
+        return None
 
     # Initiator side.
     if session.phase is Phase.AWAITING_RESP and msg.kind is MsgKind.RANGING_RESP:
         session.phase = Phase.AWAITING_REPORT
-        return [SendMessage(MsgKind.RANGING_FINAL, session.responder,
-                            data={"t1": session.t1, "t4": msg.rx_ts})]
+        session.sent = Message(MsgKind.RANGING_FINAL, node, session.responder,
+                               t1=session.sent.tx_ts, t4=msg.rx_ts)
+        return session.sent
     if session.phase is Phase.AWAITING_REPORT and msg.kind is MsgKind.RANGING_REPORT:
         session.phase = Phase.DONE
-        return [RangeReady(msg.data["range"])]
-    return []
+    return None
 
 
 # --- neighbor discovery ------------------------------------------------------

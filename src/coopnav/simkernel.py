@@ -34,9 +34,7 @@ from .protocol import (
     MsgKind,
     NeighborTable,
     Phase,
-    RangeReady,
     RangingSession,
-    SendMessage,
     StateSummary,
     TIMEOUT,
     begin_ranging,
@@ -627,7 +625,8 @@ class Simulation:
     def _receive(self, node: _Node, tx: Transmission, dist: float):
         """A unicast frame addressed to `node`, `dist` from its sender, arrived
         intact. Only the addressee reads the receive timestamp, so it is
-        stamped in place."""
+        stamped in place. The session's reply leaves TURNAROUND_S later; an
+        initiator's session that the report ends records its range."""
         msg = tx.msg
         excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
         msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
@@ -636,35 +635,29 @@ class Simulation:
             if msg.kind is not MsgKind.RANGING_INIT or node.in_hold:
                 return
             session = node.session = RangingSession(initiator=msg.src, responder=node.nid)
-        actions = ranging_fsm_step(session, msg, node.nid)
-        self._process_fsm_actions(node, actions)
-        if session.phase is Phase.FAILED:  # a garbled final; DONE still sends its report
+        reply = ranging_fsm_step(session, msg, node.nid)
+        if reply is not None:
+            self._schedule(self.now + protocol.TURNAROUND_S,
+                           self._send_session_message, node, reply)
+        elif session.phase is Phase.FAILED:  # a garbled final; DONE still sends its report
             node.session = None
+        elif session.phase is Phase.DONE and session.initiator == node.nid:
+            node.collected.setdefault(session.responder, []).append(msg.range_m)
+            node.session = None
+            self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
 
-    def _process_fsm_actions(self, node: _Node, actions):
-        for action in actions:
-            cls = type(action)
-            if cls is SendMessage:
-                self._schedule(self.now + protocol.TURNAROUND_S,
-                               self._send_session_message, node, action)
-            elif cls is RangeReady:
-                self._on_range_ready(node, action.value)
-
-    def _send_session_message(self, node: _Node, action: SendMessage):
+    def _send_session_message(self, node: _Node, msg: Message):
         session = node.session
         if session is None:
             return
-        data = action.data
-        if action.kind is MsgKind.RANGING_REPORT:
+        report = msg.kind is MsgKind.RANGING_REPORT
+        if report:
             # Ranging noise is applied once, at the responder's computation,
             # so both parties share the identical measured value.
-            data = {"range": data["range"] + float(self.rng.normal(0.0, self.par.los_sigma_m))}
-        # Positional: kind, src, dst, tx_ts, rx_ts, payload, data.
-        msg = Message(action.kind, node.nid, action.dst, None, None, node.summary(), data)
+            msg.range_m += float(self.rng.normal(0.0, self.par.los_sigma_m))
+        msg.payload = node.summary()
         self._transmit(node, msg, self._msg_air)
-        if action.ts_slot is not None:
-            setattr(session, action.ts_slot, msg.tx_ts)
-        if action.kind is not MsgKind.RANGING_REPORT:
+        if not report:
             self._arm_timeout(node, session)
         elif session.phase is Phase.DONE:
             node.session = None
@@ -874,13 +867,9 @@ class Simulation:
             )
         else:
             self._link_excess[pair] = 0.0
-        session = agent.session = RangingSession(initiator=agent.nid, responder=nbr)
-        self._process_fsm_actions(agent, begin_ranging(session))
-
-    def _on_range_ready(self, node: _Node, value: float):
-        node.collected.setdefault(node.session.responder, []).append(value)
-        node.session = None
-        self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
+        agent.session = RangingSession(initiator=agent.nid, responder=nbr)
+        self._schedule(self.now + protocol.TURNAROUND_S, self._send_session_message,
+                       agent, begin_ranging(agent.session))
 
     def _finalize(self, agent: _Node):
         activated = agent.in_hold

@@ -36,7 +36,7 @@ from coopnav.harness import (
     rmse,
     summary_json,
 )
-from coopnav.simkernel import RunRecord, RunResult
+from coopnav.simkernel import RunRecord, RunResult, run
 
 
 def make_result(errors, times=None, node_id=10, duration=10.0, n_meas=4):
@@ -122,6 +122,41 @@ class TestMetrics:
             evaluate(make_result([]))
 
 
+class TestConsistency:
+    """`MetricReport.consistency` is the median of err^2 / cov_trace. For an
+    unbiased 3-D error with the covariance the filter reports, err^2 /
+    cov_trace is chi2(3) / 3 when the error is isotropic, whose median is
+    2.366 / 3 = 0.789."""
+
+    def test_consistent_isotropic_errors(self):
+        rng = np.random.default_rng(3)
+        sigma = 0.4
+        true = np.array([1.0, 2.0, 0.5])
+        records = [RunRecord(float(i), 10, true, true + rng.normal(0.0, sigma, 3),
+                             3 * sigma**2, 4, 1, "ALOHA") for i in range(20000)]
+        rep = evaluate(RunResult("unit", 0, 10.0, records, {}, {}))
+        assert rep.consistency == pytest.approx(2.366 / 3, abs=0.02)
+
+    def test_ls_reads_nan(self):
+        res = make_result([0.1, 0.2])
+        for r in res.records:
+            r.cov_trace = float("nan")
+        assert np.isnan(evaluate(res).consistency)
+        assert reports_csv([evaluate(res)]).splitlines()[1].endswith(",nan")
+
+    def test_cooperative_spbp_is_overconfident(self):
+        # Each agent stacks its neighbour's belief as an independent prior,
+        # so shared information counts twice: seed 11 reads about 98 at node
+        # 10 and 1,042 at node 11. ROADMAP direction 10 is the change that
+        # should bring both near 0.79.
+        scen = load_scenario(bundled_scenario_path("two_agent_cooperation"))
+        result = run(scen, seed=11)
+        burn = scen.parameters.metrics_burn_in_s
+        assert burn == 10.0
+        for node in (10, 11):
+            assert evaluate(result, node_id=node, burn_in_s=burn).consistency > 50
+
+
 class TestReplication:
     @staticmethod
     def scenario(duration_s=None):
@@ -182,6 +217,7 @@ class TestReplication:
         _, reports = replicate(scen, seeds=[0], node_id=10)
         lines = reports_csv(reports).splitlines()
         assert lines[0].startswith("scenario,seed,node_id")
+        assert lines[0].endswith(",consistency")
         assert len(lines) == 2
 
     def test_summary_json_stable(self):

@@ -20,9 +20,7 @@ from coopnav.protocol import (
     MsgKind,
     NeighborTable,
     Phase,
-    RangeReady,
     RangingSession,
-    SendMessage,
     StateSummary,
     aloha_delay,
     begin_ranging,
@@ -104,40 +102,36 @@ class TestClockModel:
 
 def run_exchange(distance_m=6.0, tamper=None):
     """Drive both FSM halves through a full exchange with physical timestamps.
-    Returns both sessions and the range each side produced: the initiator's
-    RangeReady and the responder's report."""
+    Returns both sessions and the range each side produced: the report's
+    range at the initiator's DONE step and at the responder's send."""
     tof = distance_m / SPEED_OF_LIGHT
     clk = ClockModel()
     s_i = RangingSession("I", "R")
     s_r = RangingSession("I", "R")
     t = 1.0
-    outbox = list(begin_ranging(s_i))
+    send = begin_ranging(s_i)
     results = {"I": None, "R": None}
     guard = 0
-    while outbox and guard < 10:
+    while send is not None and guard < 10:
         guard += 1
-        send = outbox.pop(0)
         sender, receiver = ("I", "R") if send.dst == "R" else ("R", "I")
         sess_tx = s_i if sender == "I" else s_r
         sess_rx = s_r if sender == "I" else s_i
-        tx_ts = clk.ticks(t)
-        if send.ts_slot:
-            setattr(sess_tx, send.ts_slot, tx_ts)
+        assert send.src == sender and sess_tx.sent is send
+        send.tx_ts = clk.ticks(t)  # stamped in place, as the channel does
         t += tof
-        msg = Message(send.kind, sender, send.dst, tx_ts=tx_ts,
-                      rx_ts=clk.ticks(t), data=dict(send.data))
+        msg = Message(send.kind, sender, send.dst, tx_ts=send.tx_ts, rx_ts=clk.ticks(t),
+                      t1=send.t1, t4=send.t4, range_m=send.range_m)
         if tamper:
             msg = tamper(msg) or msg
-        outs = ranging_fsm_step(sess_rx, msg, receiver)
-        assert isinstance(outs, list)
-        for out in outs:
-            if isinstance(out, RangeReady):
-                assert receiver == "I"  # only the initiator collects
-                results[receiver] = out.value
-            else:
-                if out.kind is MsgKind.RANGING_REPORT:
-                    results["R"] = out.data["range"]
-                outbox.append(out)
+        phase = sess_rx.phase
+        send = ranging_fsm_step(sess_rx, msg, receiver)
+        assert send is None or isinstance(send, Message)
+        if send is None and phase is not Phase.DONE and sess_rx.phase is Phase.DONE:
+            assert receiver == "I"  # only the initiator collects
+            results[receiver] = msg.range_m
+        elif send is not None and send.kind is MsgKind.RANGING_REPORT:
+            results["R"] = send.range_m
         t += 0.001  # turnaround before the next transmission
     return s_i, s_r, results
 
@@ -151,10 +145,11 @@ class TestRangingFsm:
 
     def test_kickoff_emits_init(self):
         s = RangingSession("I", "R")
-        outs = begin_ranging(s)
+        out = begin_ranging(s)
         assert s.phase is Phase.AWAITING_RESP
-        assert len(outs) == 1 and outs[0].kind is MsgKind.RANGING_INIT
-        assert outs[0].ts_slot == "t1"
+        assert isinstance(out, Message) and out.kind is MsgKind.RANGING_INIT
+        assert (out.src, out.dst) == ("I", "R")
+        assert s.sent is out
 
     def test_double_kickoff_rejected(self):
         s = RangingSession("I", "R")
@@ -167,30 +162,30 @@ class TestRangingFsm:
         begin_ranging(s)
         intruder = Message(MsgKind.RANGING_RESP, "X", "I", tx_ts=1.0, rx_ts=2.0)
         outs = ranging_fsm_step(s, intruder, "I")
-        assert s.phase is Phase.AWAITING_RESP and outs == []
+        assert s.phase is Phase.AWAITING_RESP and outs is None
 
     def test_wrong_kind_for_phase_dropped(self):
         s = RangingSession("I", "R")
         begin_ranging(s)
-        stray = Message(MsgKind.RANGING_REPORT, "R", "I", data={"range": 3.0})
+        stray = Message(MsgKind.RANGING_REPORT, "R", "I", range_m=3.0)
         outs = ranging_fsm_step(s, stray, "I")
-        assert s.phase is Phase.AWAITING_RESP and outs == []
+        assert s.phase is Phase.AWAITING_RESP and outs is None
 
     def test_timeout_fails_active_session(self):
         s = RangingSession("I", "R")
         begin_ranging(s)
         outs = ranging_fsm_step(s, TIMEOUT, "I")
-        assert s.phase is Phase.FAILED and outs == []
+        assert s.phase is Phase.FAILED and outs is None
 
     def test_timeout_after_done_is_noop(self):
         s_i, _, _ = run_exchange()
         outs = ranging_fsm_step(s_i, TIMEOUT, "I")
-        assert s_i.phase is Phase.DONE and outs == []
+        assert s_i.phase is Phase.DONE and outs is None
 
     def test_garbled_final_fails_responder(self):
         def tamper(msg):
             if msg.kind is MsgKind.RANGING_FINAL:
-                msg.data["t1"] = msg.data["t1"] + 1e9  # corrupt: t4 < t1
+                msg.t1 = msg.t1 + 1e9  # corrupt: t4 < t1
             return msg
 
         _, s_r, results = run_exchange(tamper=tamper)

@@ -573,6 +573,39 @@ class TestSessionTimeout:
         assert result.link_counts == {(11, 10): 1}
 
 
+class TestAlohaOracle:
+    """The channel against pure-ALOHA theory (Abramson, 1970): N nodes that
+    all hear each other send Poisson chirps of rate lam and airtime tau, and a
+    chirp is delivered when no other frame starts within tau of it. The kernel
+    lets a node start a chirp over its own last one, so all N nodes interfere:
+    today's law is exp(-2 N lam tau). Once a radio sends one frame at a time
+    (ROADMAP direction 11(b)), this test moves to the N - 1 law."""
+
+    def test_chirp_delivery_follows_n_node_law(self):
+        interval = 0.01
+        par = Parameters(chirp_mean_interval_s=interval)
+        sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=100.0, parameters=par),
+                         seed=0)
+        sim._queue.clear()  # no epochs: only chirps on the air
+        for node in sim.nodes.values():
+            sim._schedule(protocol.chirp_scheduler(sim.rng, interval), sim._chirp, node)
+        counters = sim.run().counters
+        n = len(sim.nodes)
+        assert n == 6 and counters["out-of-range"] == 0
+        frames = counters["transmissions"]  # 59,686
+        receptions = counters["delivered"] + counters["collided"]
+        assert receptions == (n - 1) * frames
+        delivered = counters["delivered"] / receptions  # 0.78737
+        lam_tau = CHIRP_AIR_S / interval
+        law = math.exp(-2 * n * lam_tau)  # 0.7866
+        # Receptions of one frame share its fate, so the standard error is
+        # taken over frames: 3 of them are about 0.005.
+        tolerance = 3 * math.sqrt(law * (1 - law) / frames)
+        assert abs(delivered - law) < tolerance
+        # The N - 1 law lies far outside it.
+        assert math.exp(-2 * (n - 1) * lam_tau) - delivered > 5 * tolerance
+
+
 class TestEventOrder:
     def test_same_time_events_run_in_scheduling_order(self):
         # Ties on time break on scheduling order, also for an event that a
