@@ -105,8 +105,9 @@ class MetricReport:
     meas_rate_hz: float
     activation_fraction: float
     # Median of err^2 / cov_trace: about 0.79 (median of chi2(3) / 3) for a
-    # consistent filter, far above for an overconfident one; NaN for LS.
-    consistency: float
+    # consistent filter, far above for an overconfident one; None for a run
+    # with no covariance (LS).
+    consistency: float | None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,7 +134,8 @@ def evaluate(result: RunResult, node_id: int | None = None,
         e_th_80_m=outage_threshold(errors, 0.2),
         meas_rate_hz=measurement_rate(result),
         activation_fraction=activated / len(recs),
-        consistency=float(np.median(errors * errors / cov_traces)),
+        consistency=(None if np.isnan(cov_traces).any()
+                     else float(np.median(errors * errors / cov_traces))),
     )
 
 
@@ -252,7 +254,7 @@ def reports_csv(reports) -> str:
                     f"{r.e_th_80_m:.9f}",
                     f"{r.meas_rate_hz:.9f}",
                     f"{r.activation_fraction:.9f}",
-                    f"{r.consistency:.9f}",
+                    "" if r.consistency is None else f"{r.consistency:.9f}",
                 ]
             )
         )

@@ -4,6 +4,9 @@ Covers the four-message symmetric double-sided two-way ranging exchange,
 chirp-based neighbor discovery, the channel-quality estimate, and the three
 channel-access policies. State machines here are pure with respect to
 the channel: the simulation kernel stamps timestamps and moves messages.
+Every frame carries its sender's belief, which the kernel stamps as the frame
+leaves; each receiver's neighbor table keeps that belief object as it is
+(beliefs are immutable), so a node's neighbors share one belief per send.
 
 Ranging exchange layout (initiator I, responder R), with the `Message`
 fields each frame carries beside its own `tx_ts` and `rx_ts`:
@@ -24,10 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError, RangingError
-from .model import ERC_MAX, ERC_MIN
+from .model import ERC_MAX, ERC_MIN, GaussianBelief
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -58,15 +59,6 @@ class MsgKind(enum.Enum):
     CHIRP = "chirp"
 
 
-@dataclass(frozen=True, slots=True)
-class StateSummary:
-    """Position mean plus full-state covariance, as carried in message payloads.
-    Both are read-only float arrays, which every receiver's table shares."""
-
-    mu_p: np.ndarray  # (3,)
-    cov: np.ndarray  # (N_x, N_x)
-
-
 @dataclass(slots=True)
 class Message:
     kind: MsgKind
@@ -74,7 +66,7 @@ class Message:
     dst: object | None  # None for chirp broadcast
     tx_ts: float | None = None  # local-clock ticks at the sender
     rx_ts: float | None = None  # local-clock ticks at the receiver
-    payload: StateSummary | None = None
+    payload: GaussianBelief | None = None  # the sender's belief, stamped at send
     t1: float | None = None  # on a final: the init's tx_ts
     t4: float | None = None  # on a final: the response's rx_ts
     range_m: float | None = None  # on a report: the responder's range
@@ -195,55 +187,26 @@ def ranging_fsm_step(session: RangingSession, event, node) -> Message | None:
 
 @dataclass(slots=True)
 class NeighborEntry:
+    """What a node knows of one neighbor: when it was last heard, the belief
+    its last frame carried (shared with the sender, never copied) and the
+    channel-quality estimate of that reception."""
+
     last_heard: float
-    mu_p: np.ndarray  # (3,)
-    cov: np.ndarray  # (N_x, N_x)
-    xi: float  # latest channel-quality estimate
+    belief: GaussianBelief
+    xi: float
 
 
-class NeighborTable:
-    """Per-node map of recently heard neighbors and their state summaries.
-    Observing never drops an entry: the owner purges it once per epoch."""
-
-    def __init__(self):
-        self.entries: dict = {}
-
-    def purge(self, now: float, expiry: float) -> None:
-        """Drop every entry last heard more than `expiry` before `now`."""
-        cutoff = now - expiry
-        stale = [k for k, e in self.entries.items() if e.last_heard < cutoff]
-        for k in stale:
-            del self.entries[k]
-
-    def observe(self, src, summary: StateSummary | None, now: float, xi: float | None = None):
-        entry = self.entries.get(src)
-        if entry is None:
-            entry = NeighborEntry(now, np.zeros(3), np.zeros((6, 6)), (ERC_MIN + ERC_MAX) / 2)
-            self.entries[src] = entry
-        entry.last_heard = now
-        if summary is not None:
-            entry.mu_p = summary.mu_p
-            entry.cov = summary.cov
-        if xi is not None:
-            entry.xi = xi
-        return entry
-
-    def neighbors(self) -> list:
-        return sorted(self.entries)
-
-    def __contains__(self, nid) -> bool:
-        return nid in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def neighbor_update(table: dict, msg: Message, now: float, xi: float) -> None:
+    """Replace the sender's entry in `table` (node id -> NeighborEntry).
+    Receiving never drops an entry: the owner purges once per epoch."""
+    table[msg.src] = NeighborEntry(now, msg.payload, xi)
 
 
-def neighbor_update(
-    table: NeighborTable, msg: Message, now: float, xi: float | None = None
-) -> NeighborTable:
-    """Upsert the sender of any received message."""
-    table.observe(msg.src, msg.payload, now, xi)
-    return table
+def purge_neighbors(table: dict, now: float, expiry: float) -> None:
+    """Drop every entry last heard more than `expiry` before `now`."""
+    cutoff = now - expiry
+    for nid in [k for k, e in table.items() if e.last_heard < cutoff]:
+        del table[nid]
 
 
 # --- channel sounding --------------------------------------------------------

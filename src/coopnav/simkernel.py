@@ -32,10 +32,8 @@ from .protocol import (
     ClockModel,
     Message,
     MsgKind,
-    NeighborTable,
     Phase,
     RangingSession,
-    StateSummary,
     TIMEOUT,
     begin_ranging,
     chirp_scheduler,
@@ -305,7 +303,7 @@ class _Node:
         self.traj = traj
         self.clock = clock
         self.belief = belief
-        self.table = NeighborTable()
+        self.table: dict = {}  # neighbor id -> protocol.NeighborEntry
         self.session: RangingSession | None = None
         # epoch bookkeeping (agents only)
         self.period = 0.0
@@ -316,7 +314,6 @@ class _Node:
         self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
         self.piece = None  # the _trajectory_piece of the last position asked
         self.timer_pending = False  # a _session_timeout event is queued
-        self._summary = None  # (belief, its StateSummary)
         self.collected: dict = {}
         # This epoch's links, (neighbor id, u, xi, neighbor position cov), as
         # prioritization saw them, and their AllocationProblem once built.
@@ -324,15 +321,6 @@ class _Node:
         self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
-
-    def summary(self) -> StateSummary:
-        # Beliefs are immutable (read-only arrays), so every message sent
-        # under one belief carries one summary, and receivers share its arrays.
-        belief = self.belief
-        memo = self._summary
-        if memo is None or memo[0] is not belief:
-            memo = self._summary = (belief, StateSummary(belief.mean[:3], belief.covariance))
-        return memo[1]
 
     def busy_for_ranging(self) -> bool:
         return (self.session is not None and self.session.active) or self.in_hold
@@ -558,6 +546,7 @@ class Simulation:
     def _transmit(self, node: _Node, msg: Message, air: float):
         start = self.now
         msg.tx_ts = node.clock.ticks(start)
+        msg.payload = node.belief  # immutable, so receivers share it as sent
         pos = node.static_pos or self._position(node, start)  # a 3-tuple if static
         tx = Transmission(node.nid, start, start + air, pos, msg)
         # A frame still in the air started at or after start - horizon, so a
@@ -655,7 +644,6 @@ class Simulation:
             # Ranging noise is applied once, at the responder's computation,
             # so both parties share the identical measured value.
             msg.range_m += float(self.rng.normal(0.0, self.par.los_sigma_m))
-        msg.payload = node.summary()
         self._transmit(node, msg, self._msg_air)
         if not report:
             self._arm_timeout(node, session)
@@ -696,11 +684,7 @@ class Simulation:
         if node.busy_for_ranging():
             nxt = self.now + 0.1 * self.par.chirp_mean_interval_s
         else:
-            msg = Message(
-                kind=MsgKind.CHIRP, src=node.nid, dst=None,
-                payload=node.summary(),
-            )
-            self._transmit(node, msg, protocol.CHIRP_AIR_S)
+            self._transmit(node, Message(MsgKind.CHIRP, node.nid, None), protocol.CHIRP_AIR_S)
             nxt = self.now + chirp_scheduler(self.rng, self.par.chirp_mean_interval_s)
         if nxt < self.duration:
             self._schedule(nxt, self._chirp, node)
@@ -718,7 +702,7 @@ class Simulation:
         agent.exchange_queue = deque()
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
-        agent.table.purge(t0, protocol.NEIGHBOR_EXPIRY_S)
+        protocol.purge_neighbors(agent.table, t0, protocol.NEIGHBOR_EXPIRY_S)
         agent.problem = None
         agent.proposal = proposal = self._prioritize(agent)
         if proposal is None or proposal.total == 0:
@@ -735,7 +719,7 @@ class Simulation:
 
     def _eligible_neighbors(self, agent: _Node) -> list:
         out = []
-        for nid in agent.table.neighbors():
+        for nid in sorted(agent.table):
             if not self.par.allow_agent_measurements and not self.nodes[nid].is_anchor:
                 continue
             out.append(nid)
@@ -749,14 +733,14 @@ class Simulation:
         mu_p = agent.belief.mean[:3]
         links = agent.links = []
         for nid in self._eligible_neighbors(agent):
-            entry = agent.table.entries[nid]
+            entry = agent.table[nid]
             try:
-                u = operation.unit_direction(mu_p, entry.mu_p)
+                u = operation.unit_direction(mu_p, entry.belief.mean[:3])
             except DegenerateGeometryError:
                 continue
-            # The entry's arrays are read-only and never change, so the
-            # snapshot holds what a later neighbor update replaces.
-            links.append((nid, u, entry.xi, entry.cov[:3, :3]))
+            # Beliefs are immutable, so the snapshot holds what a later
+            # neighbor update replaces.
+            links.append((nid, u, entry.xi, entry.belief.covariance[:3, :3]))
         if not links:
             return None
         if self.scenario.algorithms.prioritization == "UNIFORM":
@@ -828,9 +812,9 @@ class Simulation:
             result = operation.AllocationResult(result.m, float(obj))
         dt_j = self.par.t_m_s * result.total
         covs = [agent.belief.covariance]
-        for nid in agent.table.neighbors():
+        for nid in sorted(agent.table):
             if not self.nodes[nid].is_anchor:
-                covs.append(agent.table.entries[nid].cov)
+                covs.append(agent.table[nid].belief.covariance)
         if operation.htna_decide(agent.problem, result, covs, self.motion, dt_j):
             self._begin_hold(agent)
         else:
@@ -880,15 +864,15 @@ class Simulation:
             # The table is purged only at the start of an epoch, so every
             # neighbor prioritized then still has its entry.
             ranges = agent.collected[nbr]
-            e = agent.table.entries[nbr]
+            e = agent.table[nbr]
             count = len(ranges)
             entries.append(
                 inference.MeasurementEntry(
                     neighbor=nbr,
                     z=float(np.add.reduce(np.array(ranges)) / count),  # np.mean's sum
                     variance=measurement_variance(count, e.xi),
-                    mu_p=e.mu_p,
-                    c_p=e.cov[:3, :3],
+                    mu_p=e.belief.mean[:3],
+                    c_p=e.belief.covariance[:3, :3],
                 )
             )
             key = (agent.nid, nbr)

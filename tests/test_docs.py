@@ -1,4 +1,4 @@
-"""Tests that the README's shortcut list names only code that exists."""
+"""Tests that the README names only code that exists."""
 
 import importlib
 import pkgutil
@@ -10,20 +10,19 @@ import coopnav
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def cached_or_shared_names():
-    """Every backticked `module.name` in README's "What is cached or shared"
-    list whose module is a coopnav module."""
-    text = README.read_text()
-    start = text.index("What is cached or shared")
-    section = text[start:text.index("\n## ", start)]
+def readme_code_names():
+    """Every backticked `module.name` in README.md whose module is a coopnav
+    module (written bare or as `coopnav.module.name`), leaving out file names
+    such as `protocol.py`."""
     modules = {m.name for m in pkgutil.iter_modules(coopnav.__path__)}
-    return [(mod, name) for mod, name in re.findall(r"`(\w+)\.([\w.]+)`", section)
-            if mod in modules]
+    found = re.findall(r"`(?:coopnav\.)?(\w+)\.([\w.]+)`", README.read_text())
+    return [(mod, name) for mod, name in found if mod in modules and name != "py"]
 
 
-def test_cached_or_shared_names_resolve():
-    names = cached_or_shared_names()
+def test_readme_code_names_resolve():
+    names = readme_code_names()
     assert ("model", "motion_matrices") in names
+    assert ("config", "ACRONYMS") in names
     for mod, name in names:
         obj = importlib.import_module(f"coopnav.{mod}")
         for part in name.split("."):

@@ -1,6 +1,7 @@
 """Tests for metrics, replication, comparison, and scenario configuration."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -137,12 +138,27 @@ class TestConsistency:
         rep = evaluate(RunResult("unit", 0, 10.0, records, {}, {}))
         assert rep.consistency == pytest.approx(2.366 / 3, abs=0.02)
 
-    def test_ls_reads_nan(self):
+    def test_ls_reads_none(self):
         res = make_result([0.1, 0.2])
         for r in res.records:
             r.cov_trace = float("nan")
-        assert np.isnan(evaluate(res).consistency)
-        assert reports_csv([evaluate(res)]).splitlines()[1].endswith(",nan")
+        assert evaluate(res).consistency is None
+        assert reports_csv([evaluate(res)]).splitlines()[1].endswith(",")
+
+    def test_ls_reports_compare_equal_and_serialize(self):
+        # An LS run records no covariance; a NaN consistency made two reports
+        # of one run unequal and summary_json write the non-JSON NaN.
+        scen = load_scenario(bundled_scenario_path("single_floor_inference"))
+        scen = dataclasses.replace(scen.with_algorithms("LS-AL-UN"), duration_s=2.0)
+        result = run(scen, seed=0)
+        assert evaluate(result, node_id=10) == evaluate(result, node_id=10)
+
+        def no_constant(name):
+            raise AssertionError(f"summary_json wrote {name}")
+
+        data = json.loads(summary_json(evaluate(result, node_id=10)),
+                          parse_constant=no_constant)
+        assert data["consistency"] is None
 
     def test_cooperative_spbp_is_overconfident(self):
         # Each agent stacks its neighbour's belief as an independent prior,

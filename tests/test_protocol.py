@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopnav.errors import InvalidArgumentError, RangingError
-from coopnav.model import ERC_MAX, ERC_MIN
+from coopnav.model import ERC_MAX, ERC_MIN, GaussianBelief
 from coopnav.protocol import (
     DEFAULT_TICK_S,
     SPEED_OF_LIGHT,
@@ -18,10 +18,8 @@ from coopnav.protocol import (
     ClockModel,
     Message,
     MsgKind,
-    NeighborTable,
     Phase,
     RangingSession,
-    StateSummary,
     aloha_delay,
     begin_ranging,
     chirp_scheduler,
@@ -29,6 +27,7 @@ from coopnav.protocol import (
     erc_estimate,
     htna_sense_window,
     neighbor_update,
+    purge_neighbors,
     ranging_fsm_step,
     twr_range,
 )
@@ -193,41 +192,54 @@ class TestRangingFsm:
         assert results["R"] is None
 
 
+def _chirp(src, belief=None):
+    return Message(MsgKind.CHIRP, src, None, payload=belief)
+
+
+def _observe(table, src, now, xi=50.0):
+    neighbor_update(table, _chirp(src), now, xi)
+
+
 class TestNeighborTable:
+    """A neighbor table is a dict, node id -> NeighborEntry; each reception
+    replaces the sender's entry."""
+
     def test_observe_and_expiry(self):
-        table = NeighborTable()
-        msg = Message(MsgKind.CHIRP, "A", None,
-                      payload=StateSummary(np.ones(3), np.eye(6)))
-        neighbor_update(table, msg, now=1.0)
+        table = {}
+        belief = GaussianBelief(np.ones(6), np.eye(6))
+        neighbor_update(table, _chirp("A", belief), 1.0, 50.0)
         assert "A" in table and len(table) == 1
-        assert np.allclose(table.entries["A"].mu_p, 1.0)
+        assert table["A"].belief is belief  # shared, not copied
+        assert np.allclose(table["A"].belief.mean[:3], 1.0)
         # Later message from B; A has gone stale in the meantime, but only
         # the owner's purge drops it.
-        late = Message(MsgKind.CHIRP, "B", None)
-        neighbor_update(table, late, now=7.0)
-        assert table.neighbors() == ["A", "B"]
-        table.purge(7.0, 5.0)
+        neighbor_update(table, _chirp("B"), 7.0, 50.0)
+        assert sorted(table) == ["A", "B"]
+        purge_neighbors(table, 7.0, 5.0)
         assert "A" not in table and "B" in table
 
     def test_refresh_keeps_entry_alive(self):
-        table = NeighborTable()
+        table = {}
         for t in (0.0, 3.0, 6.0):
-            table.observe("A", None, t)
-            table.purge(t, 5.0)
+            _observe(table, "A", t)
+            purge_neighbors(table, t, 5.0)
         assert "A" in table
 
     def test_xi_update(self):
-        table = NeighborTable()
-        entry = table.observe("A", None, 0.0, xi=90.0)
-        assert entry.xi == 90.0
-        table.observe("A", None, 1.0)  # no sounding: xi retained
-        assert table.entries["A"].xi == 90.0
+        table = {}
+        _observe(table, "A", 0.0, xi=90.0)
+        first = table["A"]
+        assert first.xi == 90.0
+        _observe(table, "A", 1.0, xi=40.0)
+        assert table["A"].xi == 40.0 and table["A"].last_heard == 1.0
+        # Replaced, not updated in place: a snapshot of the old entry holds.
+        assert table["A"] is not first and first.xi == 90.0
 
     def test_sorted_neighbor_listing(self):
-        table = NeighborTable()
+        table = {}
         for nid in (3, 1, 2):
-            table.observe(nid, None, 0.0)
-        assert table.neighbors() == [1, 2, 3]
+            _observe(table, nid, 0.0)
+        assert sorted(table) == [1, 2, 3]
 
 
 class TestNeighborTableExpiry:
@@ -235,41 +247,41 @@ class TestNeighborTableExpiry:
     however purges are spaced."""
 
     def test_goes_stale_between_observes_of_other_nodes(self):
-        table = NeighborTable()
+        table = {}
         for nid, now in (("A", 0.0), ("B", 3.0), ("B", 5.0)):
-            neighbor_update(table, Message(MsgKind.CHIRP, nid, None), now=now)
+            _observe(table, nid, now)
         # The cutoff 5.0 - 5.0 equals A's last_heard: not yet stale.
-        table.purge(5.0, 5.0)
-        assert table.neighbors() == ["A", "B"]
-        neighbor_update(table, Message(MsgKind.CHIRP, "B", None), now=5.5)
-        table.purge(5.5, 5.0)
-        assert table.neighbors() == ["B"]
+        purge_neighbors(table, 5.0, 5.0)
+        assert sorted(table) == ["A", "B"]
+        _observe(table, "B", 5.5)
+        purge_neighbors(table, 5.5, 5.0)
+        assert sorted(table) == ["B"]
 
     def test_refresh_keeps_entry_alive(self):
-        table = NeighborTable()
-        table.observe("A", None, 0.0)
-        table.observe("B", None, 1.0)
-        table.observe("A", None, 4.0)
-        table.purge(8.0, 5.0)  # cutoff 3: B (1) goes, refreshed A (4) stays
-        assert table.neighbors() == ["A"]
-        table.purge(9.0, 5.0)
-        assert table.neighbors() == ["A"]
-        table.purge(9.5, 5.0)
-        assert table.neighbors() == []
+        table = {}
+        _observe(table, "A", 0.0)
+        _observe(table, "B", 1.0)
+        _observe(table, "A", 4.0)
+        purge_neighbors(table, 8.0, 5.0)  # cutoff 3: B (1) goes, refreshed A (4) stays
+        assert sorted(table) == ["A"]
+        purge_neighbors(table, 9.0, 5.0)
+        assert sorted(table) == ["A"]
+        purge_neighbors(table, 9.5, 5.0)
+        assert sorted(table) == []
 
     def test_direct_purge(self):
-        table = NeighborTable()
-        table.observe("A", None, 0.0)
-        table.observe("B", None, 2.0)
-        table.purge(6.0, 5.0)
-        assert table.neighbors() == ["B"]
-        table.purge(7.0, 5.0)  # cutoff == last_heard of B
-        assert table.neighbors() == ["B"]
-        table.purge(7.25, 5.0)
-        assert table.neighbors() == []
-        table.observe("C", None, 8.0)
-        table.purge(8.0, 5.0)
-        assert table.neighbors() == ["C"]
+        table = {}
+        _observe(table, "A", 0.0)
+        _observe(table, "B", 2.0)
+        purge_neighbors(table, 6.0, 5.0)
+        assert sorted(table) == ["B"]
+        purge_neighbors(table, 7.0, 5.0)  # cutoff == last_heard of B
+        assert sorted(table) == ["B"]
+        purge_neighbors(table, 7.25, 5.0)
+        assert sorted(table) == []
+        _observe(table, "C", 8.0)
+        purge_neighbors(table, 8.0, 5.0)
+        assert sorted(table) == ["C"]
 
 
 def noisy_erc(nlos, rng, sigma):

@@ -565,7 +565,7 @@ class TestSessionTimeout:
         # report must still go out.
         _exchange_at(sim, 0.0, 11, 10)
         anchor = sim.nodes[1]
-        stray = Message(MsgKind.RANGING_INIT, 1, 10, payload=anchor.summary())
+        stray = Message(MsgKind.RANGING_INIT, 1, 10)
         sim._schedule(3 * ta + 3 * air + ta / 4, sim._transmit, anchor, stray, ta / 4)
         result = sim.run()
         assert result.counters["failed_exchanges"] == 0
@@ -1055,6 +1055,31 @@ class TestClosureFreeEvents:
         assert ("_sense_complete" in names) is (acronym != "BP-AL-UN")
 
 
+class TestSharedBeliefs:
+    """A frame leaves carrying its sender's belief object, and each receiver's
+    neighbor entry keeps the object the last frame carried: shared, not copied."""
+
+    def test_tables_hold_sent_beliefs(self, monkeypatch):
+        sent = {}
+        transmit = Simulation._transmit
+
+        def checking(self, node, msg, air):
+            tx = transmit(self, node, msg, air)
+            assert msg.payload is node.belief
+            sent.setdefault(node.nid, []).append(node.belief)
+            return tx
+
+        monkeypatch.setattr(Simulation, "_transmit", checking)
+        sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=2.0), seed=3)
+        sim.run()
+        assert len({id(b) for b in sent[11]}) > 1  # the agent's belief moved
+        for nid, other in ((10, 11), (11, 10)):
+            table = sim.nodes[nid].table
+            assert other in table and len(table) > 1  # the other agent and an anchor
+            for src, entry in table.items():
+                assert any(entry.belief is b for b in sent[src]), (nid, src)
+
+
 class TestLsBelief:
     """An LS agent's estimate is its belief, with unit position covariance,
     and both inputs of its HTNA gate read that covariance."""
@@ -1100,12 +1125,12 @@ class _EagerProblemSim(Simulation):
         mu_p = agent.belief.mean[:3]
         links = []
         for nid in self._eligible_neighbors(agent):
-            entry = agent.table.entries[nid]
+            entry = agent.table[nid]
             try:
-                u = operation.unit_direction(mu_p, entry.mu_p)
+                u = operation.unit_direction(mu_p, entry.belief.mean[:3])
             except DegenerateGeometryError:
                 continue
-            links.append(LinkInfo(nid, u, entry.xi, entry.cov[:3, :3]))
+            links.append(LinkInfo(nid, u, entry.xi, entry.belief.covariance[:3, :3]))
         self.eager[agent.nid] = AllocationProblem(
             agent.belief.covariance[:3, :3], tuple(links), simkernel.M_PER_NEIGHBOR)
         return super()._prioritize(agent)
