@@ -162,13 +162,16 @@ class AgentSpec:
     label: str | None = None
 
     def __post_init__(self):
+        start = _vec(self.initial_position, 3, "initial_position")
         traj = _instances(self.trajectory, Waypoint, "trajectory")
+        if traj and traj[0].arrival_s == 0 and traj[0].position != start:  # the run starts there
+            raise ConfigError("trajectory[0]: a waypoint at 0 s must be at initial_position")
         for i, (w, nxt) in enumerate(zip(traj, traj[1:])):
             if w.arrival_s + w.dwell_s >= nxt.arrival_s:  # no time left for the leg
                 raise ConfigError(f"trajectory[{i}]: arrival_s + dwell_s must come "
                                   f"before the next waypoint's arrival_s ({nxt.arrival_s})")
         _set(self, id=_number(self.id, "id", integer=True),
-             initial_position=_vec(self.initial_position, 3, "initial_position"),
+             initial_position=start,
              trajectory=traj,
              belief_mean=(None if self.belief_mean is None
                           else _vec(self.belief_mean, 6, "belief_mean")),

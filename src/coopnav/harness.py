@@ -191,9 +191,12 @@ class Comparison:
     baseline_rate_hz: float
     candidate_rate_hz: float
     rate_change_pct: float
+    baseline_reports: tuple  # per-seed MetricReports, in seed order; not in to_dict
+    candidate_reports: tuple
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        del d["baseline_reports"], d["candidate_reports"]
         d["seeds"] = list(self.seeds)
         return d
 
@@ -234,6 +237,8 @@ def compare(scenario: ScenarioConfig, baseline_acronym: str, candidate_acronym: 
         baseline_rate_hz=b_rate,
         candidate_rate_hz=c_rate,
         rate_change_pct=percent_change(b_rate, c_rate),
+        baseline_reports=tuple(base_reports),
+        candidate_reports=tuple(cand_reports),
     )
 
 

@@ -9,17 +9,20 @@ leaves; each receiver's neighbor table keeps that belief object as it is
 (beliefs are immutable), so a node's neighbors share one belief per send.
 
 Ranging exchange layout (initiator I, responder R), with the `Message`
-fields each frame carries beside its own `tx_ts` and `rx_ts`:
+fields each frame carries beside its own `tx_ts` and `rx_ts`, and the kind
+of message each side awaits once the frame is received:
 
-    frame             timestamps              fields
-    I --init-->  R    t1 = I tx, t2 = R rx    -
-    I <--resp--  R    t3 = R tx, t4 = I rx    -
-    I --final--> R    t5 = I tx, t6 = R rx    t1, t4
-    I <-report-- R    -                       range_m, computed by R from t1..t6
+    frame             timestamps              fields    then I, R await
+    I --init-->  R    t1 = I tx, t2 = R rx    -         resp, final
+    I <--resp--  R    t3 = R tx, t4 = I rx    -         report, final
+    I --final--> R    t5 = I tx, t6 = R rx    t1, t4    report, None
+    I <-report-- R    -                       range_m   None, None
 
-Only the responder holds all six timestamps; the report gives the initiator
-the same value. Each side reads its own transmit time (I's t1, R's t3) from
-the last message its session sent.
+A new session awaits the init; the kickoff makes the initiator's await the
+response. A session that awaits None is over for its node. Only the
+responder holds all six timestamps: it computes range_m, or on a garbled
+final ends its session with no report. Each side reads its own transmit
+time (I's t1, R's t3) from the last message its session sent.
 """
 
 from __future__ import annotations
@@ -91,95 +94,60 @@ def twr_range(t1, t2, t3, t4, t5, t6) -> float:
     return tof_ticks * DEFAULT_TICK_S * SPEED_OF_LIGHT
 
 
-class Phase(enum.Enum):
-    IDLE = "idle"
-    AWAITING_RESP = "awaiting-resp"
-    AWAITING_FINAL = "awaiting-final"
-    AWAITING_REPORT = "awaiting-report"
-    DONE = "done"
-    FAILED = "failed"
-
-
-TIMEOUT = object()  # sentinel event for ranging_fsm_step
-
-
 @dataclass(slots=True)
 class RangingSession:
-    """One node's view of an exchange: the responder keeps t2, and both sides
-    keep the last message they sent, whose tx_ts the channel stamps."""
+    """One node's view of an exchange: the kind of message it accepts next
+    from its partner (None once the exchange is over for it), the responder's
+    t2, and the last message it sent, whose tx_ts the channel stamps."""
 
     initiator: object
     responder: object
-    phase: Phase = Phase.IDLE
+    awaits: MsgKind | None = MsgKind.RANGING_INIT
     t2: float | None = None
     sent: Message | None = None
     # Simulation time at which the session fails unless its partner replies;
     # each send that awaits a reply moves it.
     deadline: float | None = None
 
-    @property
-    def active(self) -> bool:
-        return self.phase in (
-            Phase.AWAITING_RESP,
-            Phase.AWAITING_FINAL,
-            Phase.AWAITING_REPORT,
-        )
-
 
 def begin_ranging(session: RangingSession) -> Message:
     """Initiator kickoff: return the init message and await the response."""
-    if session.phase is not Phase.IDLE:
+    if session.sent is not None:
         raise InvalidArgumentError("session already started")
-    session.phase = Phase.AWAITING_RESP
+    session.awaits = MsgKind.RANGING_RESP
     session.sent = Message(MsgKind.RANGING_INIT, session.initiator, session.responder)
     return session.sent
 
 
-def ranging_fsm_step(session: RangingSession, event, node) -> Message | None:
-    """Deterministic transition table for one node's view of a ranging session;
-    returns the one message the node sends in reply, or None.
-
-    `event` is a received Message or the TIMEOUT sentinel. Unexpected messages
-    (wrong sender during lockout, wrong kind for the phase) are dropped and
-    leave the session unchanged. The initiator's session ends DONE on the
-    report, whose `range_m` is the exchange's range.
-    """
-    if event is TIMEOUT:
-        if session.active:
-            session.phase = Phase.FAILED
+def ranging_fsm_step(session: RangingSession, msg: Message, node) -> Message | None:
+    """One node's step of a ranging session on a received message; returns
+    the one message the node sends in reply, or None. A message that is not
+    the kind the session awaits from the partner is dropped and leaves the
+    session unchanged. The report carries the exchange's range (`range_m`)."""
+    kind = msg.kind
+    if kind is not session.awaits or msg.src != (
+            session.responder if node == session.initiator else session.initiator):
         return None
-    msg = event
-    if msg.src != (session.responder if node == session.initiator else session.initiator):
-        return None  # lockout: only accept messages from the partner
-
-    if node == session.responder:
-        if session.phase is Phase.IDLE and msg.kind is MsgKind.RANGING_INIT:
-            session.t2 = msg.rx_ts
-            session.phase = Phase.AWAITING_FINAL
-            session.sent = Message(MsgKind.RANGING_RESP, node, session.initiator)
-            return session.sent
-        if session.phase is Phase.AWAITING_FINAL and msg.kind is MsgKind.RANGING_FINAL:
-            try:
-                value = twr_range(msg.t1, session.t2, session.sent.tx_ts,
-                                  msg.t4, msg.tx_ts, msg.rx_ts)
-            except RangingError:
-                session.phase = Phase.FAILED
-                return None
-            session.phase = Phase.DONE
-            session.sent = Message(MsgKind.RANGING_REPORT, node, session.initiator,
-                                   range_m=value)
-            return session.sent
-        return None
-
-    # Initiator side.
-    if session.phase is Phase.AWAITING_RESP and msg.kind is MsgKind.RANGING_RESP:
-        session.phase = Phase.AWAITING_REPORT
+    if kind is MsgKind.RANGING_INIT:
+        session.t2 = msg.rx_ts
+        session.awaits = MsgKind.RANGING_FINAL
+        session.sent = Message(MsgKind.RANGING_RESP, node, session.initiator)
+        return session.sent
+    if kind is MsgKind.RANGING_RESP:
+        session.awaits = MsgKind.RANGING_REPORT
         session.sent = Message(MsgKind.RANGING_FINAL, node, session.responder,
                                t1=session.sent.tx_ts, t4=msg.rx_ts)
         return session.sent
-    if session.phase is Phase.AWAITING_REPORT and msg.kind is MsgKind.RANGING_REPORT:
-        session.phase = Phase.DONE
-    return None
+    session.awaits = None  # the final or the report: the exchange is over here
+    if kind is MsgKind.RANGING_REPORT:
+        return None
+    try:
+        value = twr_range(msg.t1, session.t2, session.sent.tx_ts,
+                          msg.t4, msg.tx_ts, msg.rx_ts)
+    except RangingError:
+        return None
+    session.sent = Message(MsgKind.RANGING_REPORT, node, session.initiator, range_m=value)
+    return session.sent
 
 
 # --- neighbor discovery ------------------------------------------------------

@@ -32,9 +32,7 @@ from .protocol import (
     ClockModel,
     Message,
     MsgKind,
-    Phase,
     RangingSession,
-    TIMEOUT,
     begin_ranging,
     chirp_scheduler,
     erc_estimate,
@@ -323,7 +321,7 @@ class _Node:
         self.warm_alloc: dict = {}
 
     def busy_for_ranging(self) -> bool:
-        return (self.session is not None and self.session.active) or self.in_hold
+        return (self.session is not None and self.session.awaits is not None) or self.in_hold
 
 
 class Simulation:
@@ -614,8 +612,9 @@ class Simulation:
     def _receive(self, node: _Node, tx: Transmission, dist: float):
         """A unicast frame addressed to `node`, `dist` from its sender, arrived
         intact. Only the addressee reads the receive timestamp, so it is
-        stamped in place. The session's reply leaves TURNAROUND_S later; an
-        initiator's session that the report ends records its range."""
+        stamped in place. The session's reply leaves TURNAROUND_S later; a
+        frame that ends the exchange unanswered clears the session, and the
+        initiator's report records its range."""
         msg = tx.msg
         excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
         msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
@@ -624,16 +623,16 @@ class Simulation:
             if msg.kind is not MsgKind.RANGING_INIT or node.in_hold:
                 return
             session = node.session = RangingSession(initiator=msg.src, responder=node.nid)
+        awaited = session.awaits
         reply = ranging_fsm_step(session, msg, node.nid)
         if reply is not None:
             self._schedule(self.now + protocol.TURNAROUND_S,
                            self._send_session_message, node, reply)
-        elif session.phase is Phase.FAILED:  # a garbled final; DONE still sends its report
+        elif awaited is not None and session.awaits is None:
             node.session = None
-        elif session.phase is Phase.DONE and session.initiator == node.nid:
-            node.collected.setdefault(session.responder, []).append(msg.range_m)
-            node.session = None
-            self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
+            if session.initiator == node.nid:
+                node.collected.setdefault(session.responder, []).append(msg.range_m)
+                self._schedule(self.now + protocol.EXCHANGE_GAP_S, self._next_exchange, node)
 
     def _send_session_message(self, node: _Node, msg: Message):
         session = node.session
@@ -647,7 +646,7 @@ class Simulation:
         self._transmit(node, msg, self._msg_air)
         if not report:
             self._arm_timeout(node, session)
-        elif session.phase is Phase.DONE:
+        elif session.awaits is None:  # the node has begun no exchange since
             node.session = None
 
     def _arm_timeout(self, node: _Node, session: RangingSession):
@@ -661,14 +660,13 @@ class Simulation:
 
     def _session_timeout(self, node: _Node):
         session = node.session
-        if session is None or not session.active or session.deadline is None:
+        if session is None or session.awaits is None or session.deadline is None:
             node.timer_pending = False  # nothing awaits a reply; a send re-arms
             return
         if session.deadline > self.now:  # re-armed since this event was queued
             self._schedule(session.deadline, self._session_timeout, node)
             return
         node.timer_pending = False
-        ranging_fsm_step(session, TIMEOUT, node.nid)
         node.session = None
         self.counters["failed_exchanges"] += 1
         if node.in_hold:

@@ -35,6 +35,37 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+BOOTSTRAP_RESAMPLES = 4000
+BOOTSTRAP_SEED = 1993  # fixed, so every run prints the same intervals
+
+
+def median(x):
+    """Median over the last (seed) axis."""
+    return np.median(x, axis=-1)
+
+
+def drop_pct(base, other):
+    """How far the median of `other` lies below that of `base`, in percent."""
+    return (median(base) - median(other)) / median(base) * 100.0
+
+
+def seed_interval(stat, *per_seed, fmt=".1f") -> str:
+    """95% seed-bootstrap interval of `stat` over per-seed values, as text.
+
+    Draws BOOTSTRAP_RESAMPLES resamples of the seeds, with replacement, from
+    a fixed generator. Columns measured on the same seeds share each
+    resample, so a comparison stays paired (Efron & Tibshirani, An
+    Introduction to the Bootstrap, 1993). `stat` maps columns of shape
+    (resamples, seeds) to one value per resample. No run is repeated: the
+    gate stays the point estimate against its bound.
+    """
+    cols = [np.asarray(c, dtype=float) for c in per_seed]
+    n = len(cols[0])
+    idx = np.random.default_rng(BOOTSTRAP_SEED).integers(n, size=(BOOTSTRAP_RESAMPLES, n))
+    lo, hi = np.percentile(stat(*(c[idx] for c in cols)), [2.5, 97.5])
+    return f"95% CI {lo:{fmt}} to {hi:{fmt}}"
+
+
 def random_spd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     return symmetrize(scale * (a @ a.T + n * np.eye(n)))
@@ -149,12 +180,14 @@ def test_04_inference_beats_least_squares():
     c = compare(scen, "LS-AL-UN", "BP-AL-UN", seeds=range(20), node_id=10)
     elapsed = time.perf_counter() - t0
     reduction = -c.rmse_change_pct
+    ci = seed_interval(drop_pct, [r.rmse_m for r in c.baseline_reports],
+                       [r.rmse_m for r in c.candidate_reports])
     ok = reduction >= 10.0 and elapsed < 120.0
     report(
         "criterion-04 inference vs LS",
         ok,
         f"20 seeds, median RMSE {c.baseline_rmse_m:.3f}m -> {c.candidate_rmse_m:.3f}m, "
-        f"reduction {reduction:.1f}% (need >=10%), {elapsed:.1f}s (<2min)",
+        f"reduction {reduction:.1f}% ({ci}%) (need >=10%), {elapsed:.1f}s (<2min)",
     )
 
 
@@ -172,12 +205,13 @@ def test_05_cooperation_gain():
     coop_eth = float(np.median([r.e_th_80_m for r in coop]))
     solo_eth = float(np.median([r.e_th_80_m for r in non]))
     improvement = (solo_eth - coop_eth) / solo_eth * 100.0
+    ci = seed_interval(drop_pct, [r.e_th_80_m for r in non], [r.e_th_80_m for r in coop])
     ok = improvement >= 40.0 and elapsed < 120.0
     report(
         "criterion-05 cooperation gain",
         ok,
         f"15 seeds, e_th@0.2 {solo_eth:.3f}m -> {coop_eth:.3f}m, "
-        f"improvement {improvement:.1f}% (need >=40%), {elapsed:.1f}s (<2min)",
+        f"improvement {improvement:.1f}% ({ci}%) (need >=40%), {elapsed:.1f}s (<2min)",
     )
 
 
@@ -189,13 +223,19 @@ def test_06_activation_saves_measurements():
     elapsed = time.perf_counter() - t0
     rate_reduction = -c.rate_change_pct
     rmse_ratio = c.candidate_rmse_m / c.baseline_rmse_m
+    rate_ci = seed_interval(lambda b, x: -drop_pct(b, x),
+                            [r.meas_rate_hz for r in c.baseline_reports],
+                            [r.meas_rate_hz for r in c.candidate_reports])
+    ratio_ci = seed_interval(lambda b, x: median(x) / median(b),
+                             [r.rmse_m for r in c.baseline_reports],
+                             [r.rmse_m for r in c.candidate_reports], fmt=".2f")
     ok = rate_reduction >= 30.0 and rmse_ratio <= 1.10 and elapsed < 120.0
     report(
         "criterion-06 threshold activation",
         ok,
         f"15 seeds, rate {c.baseline_rate_hz:.0f} -> {c.candidate_rate_hz:.0f}/s "
-        f"(-{rate_reduction:.1f}%, need >=30%), RMSE ratio {rmse_ratio:.2f} "
-        f"(need <=1.10), {elapsed:.1f}s (<2min)",
+        f"(-{rate_reduction:.1f}%, {rate_ci}%, need >=30%), RMSE ratio {rmse_ratio:.2f} "
+        f"({ratio_ci}, need <=1.10), {elapsed:.1f}s (<2min)",
     )
 
 
@@ -216,12 +256,16 @@ def test_07_prioritization_prefers_good_links():
     ratio = float(np.median(ratios))
     cp_rmse = float(np.median([x.rmse_m for x in cp_reports]))
     un_rmse = float(np.median([x.rmse_m for x in un_reports]))
+    ratio_ci = seed_interval(median, ratios)
+    cp_ci = seed_interval(median, [x.rmse_m for x in cp_reports], fmt=".3f")
+    un_ci = seed_interval(median, [x.rmse_m for x in un_reports], fmt=".3f")
     ok = ratio >= 2.0 and cp_rmse <= un_rmse and elapsed < 60.0
     report(
         "criterion-07 link prioritization",
         ok,
-        f"5 seeds, clean:degraded measurement ratio {ratio:.1f}:1 (need >=2:1), "
-        f"RMSE {cp_rmse:.3f}m vs uniform {un_rmse:.3f}m (need <=), {elapsed:.1f}s (<1min)",
+        f"5 seeds, clean:degraded measurement ratio {ratio:.1f}:1 ({ratio_ci}) (need >=2:1), "
+        f"RMSE {cp_rmse:.3f}m ({cp_ci}m) vs uniform {un_rmse:.3f}m ({un_ci}m) (need <=), "
+        f"{elapsed:.1f}s (<1min)",
     )
 
 
@@ -232,12 +276,14 @@ def test_08_multi_floor_prioritization():
     c = compare(scen, "BP-HT-UN", "BP-HT-CP", seeds=range(10), node_id=10)
     elapsed = time.perf_counter() - t0
     improvement = -c.e_th_change_pct
+    ci = seed_interval(drop_pct, [r.e_th_80_m for r in c.baseline_reports],
+                       [r.e_th_80_m for r in c.candidate_reports])
     ok = improvement >= 40.0 and elapsed < 180.0
     report(
         "criterion-08 multi-floor prioritization",
         ok,
         f"10 seeds, e_th@0.2 {c.baseline_e_th_m:.3f}m -> {c.candidate_e_th_m:.3f}m, "
-        f"improvement {improvement:.1f}% (need >=40%), {elapsed:.1f}s (<3min)",
+        f"improvement {improvement:.1f}% ({ci}%) (need >=40%), {elapsed:.1f}s (<3min)",
     )
 
 

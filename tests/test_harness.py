@@ -223,6 +223,9 @@ class TestReplication:
         got = compare(scen, "LS-AL-UN", "BP-AL-UN", seeds=(s for s in [0, 1]), node_id=10)
         assert got == want
         assert got.seeds == (0, 1)
+        # The per-seed reports come back in seed order, and stay out of the JSON.
+        assert [r.seed for r in got.candidate_reports] == [0, 1]
+        assert "candidate_reports" not in got.to_dict()
 
     def test_compare_rejects_unknown_acronym(self):
         with pytest.raises(InvalidArgumentError):
@@ -258,6 +261,8 @@ class TestScenarioConfig:
     def test_minimal_parses(self):
         scen = scenario_from_dict(dict(MINIMAL))
         assert scen.name == "t" and len(scen.anchors) == 1
+        # A first waypoint at 0 s loads where it is the initial position.
+        assert AgentSpec(10, (8, 6, 1), (Waypoint((8.0, 6.0, 1.0), 0.0),)).trajectory
 
     def test_duplicate_ids_rejected(self):
         bad = dict(MINIMAL)
@@ -350,6 +355,11 @@ class TestScenarioConfig:
             {"position": [1, 1, 1], "arrival_s": 3},
             {"position": [2, 2, 1], "arrival_s": 2}]}]},
          r"agents\[0\]\.trajectory\[0\]: arrival_s \+ dwell_s"),
+        # The run starts at a first waypoint at 0 s, so another initial
+        # position would be ignored.
+        ({"agents": [{"id": 10, "initial_position": [1, 1, 1], "trajectory": [
+            {"position": [8, 6, 1], "arrival_s": 0}]}]},
+         r"agents\[0\]\.trajectory\[0\]: a waypoint at 0 s must be at initial_position"),
     ])
     def test_unusable_value_named(self, patch, key):
         with pytest.raises(ConfigError, match=key):

@@ -14,11 +14,9 @@ from coopnav.protocol import (
     SPEED_OF_LIGHT,
     CSMA_BACKOFF_BASE_S,
     CSMA_MAX_ATTEMPTS,
-    TIMEOUT,
     ClockModel,
     Message,
     MsgKind,
-    Phase,
     RangingSession,
     aloha_delay,
     begin_ranging,
@@ -102,7 +100,7 @@ class TestClockModel:
 def run_exchange(distance_m=6.0, tamper=None):
     """Drive both FSM halves through a full exchange with physical timestamps.
     Returns both sessions and the range each side produced: the report's
-    range at the initiator's DONE step and at the responder's send."""
+    range at the initiator's last step and at the responder's send."""
     tof = distance_m / SPEED_OF_LIGHT
     clk = ClockModel()
     s_i = RangingSession("I", "R")
@@ -123,10 +121,11 @@ def run_exchange(distance_m=6.0, tamper=None):
                       t1=send.t1, t4=send.t4, range_m=send.range_m)
         if tamper:
             msg = tamper(msg) or msg
-        phase = sess_rx.phase
+        awaited = sess_rx.awaits
         send = ranging_fsm_step(sess_rx, msg, receiver)
         assert send is None or isinstance(send, Message)
-        if send is None and phase is not Phase.DONE and sess_rx.phase is Phase.DONE:
+        if (send is None and awaited is MsgKind.RANGING_REPORT
+                and sess_rx.awaits is None):
             assert receiver == "I"  # only the initiator collects
             results[receiver] = msg.range_m
         elif send is not None and send.kind is MsgKind.RANGING_REPORT:
@@ -138,14 +137,14 @@ def run_exchange(distance_m=6.0, tamper=None):
 class TestRangingFsm:
     def test_happy_path_both_sides_agree(self):
         s_i, s_r, results = run_exchange(6.0)
-        assert s_i.phase is Phase.DONE and s_r.phase is Phase.DONE
+        assert s_i.awaits is None and s_r.awaits is None
         assert results["I"] == pytest.approx(6.0, abs=1e-6)
         assert results["R"] == results["I"]
 
     def test_kickoff_emits_init(self):
         s = RangingSession("I", "R")
         out = begin_ranging(s)
-        assert s.phase is Phase.AWAITING_RESP
+        assert s.awaits is MsgKind.RANGING_RESP
         assert isinstance(out, Message) and out.kind is MsgKind.RANGING_INIT
         assert (out.src, out.dst) == ("I", "R")
         assert s.sent is out
@@ -161,25 +160,14 @@ class TestRangingFsm:
         begin_ranging(s)
         intruder = Message(MsgKind.RANGING_RESP, "X", "I", tx_ts=1.0, rx_ts=2.0)
         outs = ranging_fsm_step(s, intruder, "I")
-        assert s.phase is Phase.AWAITING_RESP and outs is None
+        assert s.awaits is MsgKind.RANGING_RESP and outs is None
 
     def test_wrong_kind_for_phase_dropped(self):
         s = RangingSession("I", "R")
         begin_ranging(s)
         stray = Message(MsgKind.RANGING_REPORT, "R", "I", range_m=3.0)
         outs = ranging_fsm_step(s, stray, "I")
-        assert s.phase is Phase.AWAITING_RESP and outs is None
-
-    def test_timeout_fails_active_session(self):
-        s = RangingSession("I", "R")
-        begin_ranging(s)
-        outs = ranging_fsm_step(s, TIMEOUT, "I")
-        assert s.phase is Phase.FAILED and outs is None
-
-    def test_timeout_after_done_is_noop(self):
-        s_i, _, _ = run_exchange()
-        outs = ranging_fsm_step(s_i, TIMEOUT, "I")
-        assert s_i.phase is Phase.DONE and outs is None
+        assert s.awaits is MsgKind.RANGING_RESP and outs is None
 
     def test_garbled_final_fails_responder(self):
         def tamper(msg):
@@ -188,7 +176,8 @@ class TestRangingFsm:
             return msg
 
         _, s_r, results = run_exchange(tamper=tamper)
-        assert s_r.phase is Phase.FAILED
+        # Over with no report built: the last message it sent is its response.
+        assert s_r.awaits is None and s_r.sent.kind is MsgKind.RANGING_RESP
         assert results["R"] is None
 
 

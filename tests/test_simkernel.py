@@ -29,6 +29,7 @@ from coopnav.errors import (
     ConfigError,
     DegenerateGeometryError,
     EstimationFailureError,
+    RangingError,
     SimulationError,
 )
 from coopnav.operation import AllocationProblem, AllocationResult, LinkInfo
@@ -721,8 +722,11 @@ class TestSimulationRuns:
         assert result.trace_csv().splitlines()[0] == "time_s,kind,src,dst,outcome"
 
 
-class _EpochCountingSim(Simulation):
-    """Counts, per agent, the epochs the kernel runs (those before the end)."""
+class _CheckedSim(Simulation):
+    """Counts, per agent, the epochs the kernel runs (those before the end).
+    After every handler that changes a node's session, checks the session
+    rule: a stored session that awaits nothing is a responder's whose last
+    sent message is its report, still to go out."""
 
     def __init__(self, *args, **kw):
         self.epochs = {}
@@ -733,13 +737,35 @@ class _EpochCountingSim(Simulation):
             self.epochs[agent.nid] = self.epochs.get(agent.nid, 0) + 1
         super()._epoch(agent)
 
+    def _check_session(self, node):
+        s = node.session
+        assert s is None or s.awaits is not None or (
+            s.responder == node.nid and s.sent.kind is MsgKind.RANGING_REPORT
+            and s.sent.tx_ts is None), (node.nid, s)
+
+    def _receive(self, node, *args):
+        super()._receive(node, *args)
+        self._check_session(node)
+
+    def _send_session_message(self, node, msg):
+        super()._send_session_message(node, msg)
+        self._check_session(node)
+
+    def _session_timeout(self, node):
+        super()._session_timeout(node)
+        self._check_session(node)
+
+    def _next_exchange(self, agent):
+        super()._next_exchange(agent)
+        self._check_session(agent)
+
 
 class TestKernelEdgeCases:
     """Runs at the edges of the kernel keep its bookkeeping invariants."""
 
     @staticmethod
     def run_checked(scen, acronym, seed=0):
-        sim = _EpochCountingSim(scen.with_algorithms(acronym), seed=seed)
+        sim = _CheckedSim(scen.with_algorithms(acronym), seed=seed)
         result = sim.run()
         c = result.counters
         assert c["delivered"] + c["collided"] + c["out-of-range"] == (
@@ -1026,6 +1052,32 @@ class TestClearFanOut:
         assert a.counters == b.counters
         assert a.trace == b.trace
         assert a.records_csv() == b.records_csv()
+
+
+class TestSessionLifecycle:
+    """A node's session lives from its first frame to the end of its part of
+    the exchange; `_CheckedSim` checks the session rule after every handler
+    that changes a session."""
+
+    @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
+    @pytest.mark.parametrize("name", TestFixedLinks.BUNDLED)
+    def test_bundled(self, name, acronym):
+        scen = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration_s=5.0)
+        assert TestKernelEdgeCases.run_checked(scen, acronym).total_measurements() > 0
+
+    def test_garbled_final_ends_responder_session(self, monkeypatch):
+        # Every final is garbled, so no report is built: the rule leaves no
+        # stored session awaiting nothing, and the responder's goes at the
+        # final. Only the initiators' sessions time out, one per exchange.
+        def garbled(*_stamps):
+            raise RangingError("garbled exchange")
+
+        monkeypatch.setattr(protocol, "twr_range", garbled)
+        scen = load_scenario(bundled_scenario_path("two_agent_cooperation"))
+        sim = _CheckedSim(dataclasses.replace(scen, duration_s=3.0), seed=0)
+        result = sim.run()
+        assert result.total_measurements() == 0
+        assert result.counters["failed_exchanges"] == 60
 
 
 class TestClosureFreeEvents:
