@@ -145,8 +145,9 @@ def _run_one(args) -> RunResult:
 
 
 def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
-              workers: int | None = None, burn_in_s: float | None = None):
-    """Run the scenario once per seed and evaluate each run.
+              workers: int | None = None):
+    """Run the scenario once per seed and evaluate each run, scored from the
+    scenario's metrics_burn_in_s on.
 
     Results are returned ordered by the position in `seeds` regardless of
     worker completion order, so replication is deterministic. `workers`, if
@@ -160,7 +161,7 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
         raise InvalidArgumentError("replicate requires at least one seed")
     if workers is not None and workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    burn = scenario.parameters.metrics_burn_in_s if burn_in_s is None else burn_in_s
+    burn = scenario.parameters.metrics_burn_in_s
     if workers is not None and workers > 1 and len(seeds) > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -202,21 +203,17 @@ class Comparison:
 
 
 def compare(scenario: ScenarioConfig, baseline_acronym: str, candidate_acronym: str,
-            seeds, node_id: int | None = None, workers: int | None = None,
-            burn_in_s: float | None = None) -> Comparison:
-    """Run both algorithm combinations over the same seeds and compare medians."""
+            seeds, node_id: int | None = None, workers: int | None = None) -> Comparison:
+    """Run both algorithm combinations over the same seeds and compare
+    medians, each run scored from the scenario's metrics_burn_in_s on."""
     seeds = tuple(seeds)  # both runs read it, so a one-shot iterable is kept
     for acr in (baseline_acronym, candidate_acronym):
         if acr not in ACRONYMS:
             raise InvalidArgumentError(f"unknown algorithm acronym {acr!r}")
-    _, base_reports = replicate(
-        scenario.with_algorithms(baseline_acronym), seeds, node_id=node_id,
-        workers=workers, burn_in_s=burn_in_s,
-    )
-    _, cand_reports = replicate(
-        scenario.with_algorithms(candidate_acronym), seeds, node_id=node_id,
-        workers=workers, burn_in_s=burn_in_s,
-    )
+    _, base_reports = replicate(scenario.with_algorithms(baseline_acronym), seeds,
+                                node_id=node_id, workers=workers)
+    _, cand_reports = replicate(scenario.with_algorithms(candidate_acronym), seeds,
+                                node_id=node_id, workers=workers)
     b_rmse = float(np.median([r.rmse_m for r in base_reports]))
     c_rmse = float(np.median([r.rmse_m for r in cand_reports]))
     b_eth = float(np.median([r.e_th_80_m for r in base_reports]))

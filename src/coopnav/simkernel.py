@@ -56,26 +56,12 @@ NLOS_BIAS_MEAN_M = 0.6  # mean of the exponential excess path of an NLOS link
 FIXED_LINK_MARGIN_M = 1e-6
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Waypoints (position, arrival time, dwell); linear interpolation between."""
-
-    waypoints: tuple  # of ((x, y, z), arrival_s, dwell_s)
-
-    def __post_init__(self):
-        # Plain float tuples: positions are computed per frame, and scalar
-        # arithmetic on them is much cheaper than on small numpy arrays.
-        object.__setattr__(self, "waypoints", tuple(
-            (tuple(float(c) for c in p), float(a), float(d)) for p, a, d in self.waypoints
-        ))
-
-
-def _trajectory_piece(traj: Trajectory, t: float) -> tuple:
-    """The piece of a waypoint trajectory that holds time t, as
-    (lo, hi, p0, start, span, delta): for every time s with lo < s <= hi the
-    position is p0 + (s - start) / span * delta, or p0 itself where delta is
-    None (before the first waypoint, at a dwell, after the last waypoint)."""
-    wps = traj.waypoints
+def _trajectory_piece(wps: tuple, t: float) -> tuple:
+    """The piece of a waypoint trajectory, ((x, y, z), arrival_s, dwell_s)
+    float tuples, that holds time t, as (lo, hi, p0, start, span, delta): for
+    every time s with lo < s <= hi the position is p0 + (s - start) / span *
+    delta, or p0 itself where delta is None (before the first waypoint, at a
+    dwell, after the last waypoint)."""
     if not wps:
         raise SimulationError("trajectory has no waypoints")
     # lo is the latest bound that t has passed: the scan below reaches a
@@ -103,10 +89,11 @@ def _piece_position(piece: tuple, t: float) -> tuple:
     return (p0[0] + frac * delta[0], p0[1] + frac * delta[1], p0[2] + frac * delta[2])
 
 
-def mobility_position(traj: Trajectory, t: float) -> tuple:
-    """Position (x, y, z) along a waypoint trajectory at time t (clamped at the
-    ends), linear between a waypoint's departure and the next one's arrival."""
-    return _piece_position(_trajectory_piece(traj, t), t)
+def mobility_position(wps: tuple, t: float) -> tuple:
+    """Position (x, y, z) along waypoints ((x, y, z), arrival_s, dwell_s) at
+    time t (clamped at the ends), linear between a waypoint's departure and
+    the next one's arrival."""
+    return _piece_position(_trajectory_piece(wps, t), t)
 
 
 def _dist(a, b) -> float:
@@ -164,19 +151,16 @@ class ChannelState:
         ]
 
 
-def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: dict,
-              comm_range: float, blocked=frozenset(), clear=None) -> Mapping:
+def arbitrate(channel: ChannelState, tx: Transmission, receivers, heard,
+              clear=None) -> Mapping:
     """Per-receiver outcome of a finished transmission.
 
-    links is a fixed-link table: node id -> {other node id: heard}, where
-    heard is whether the two hear each other (see `hears`) wherever the run
-    cannot change it, and None where it depends on their positions. The
-    receivers are the sender's row, in its order. positions maps node id ->
-    position at the end of the frame; only the entries of nodes on an
-    undecided link are read. Returns node id -> outcome. A reception
-    succeeds iff the receiver hears the sender and no other overlapping
-    frame that it hears. Radios are half duplex: a receiver's own
-    overlapping frame always collides.
+    receivers are the node ids that may receive it, in order (the sender's
+    row of the fixed-link table). heard(nid, src, src_pos) is whether node
+    nid hears the frame of node src sent from src_pos, at the frame's end.
+    Returns node id -> outcome. A reception succeeds iff the receiver hears
+    the sender and no other overlapping frame that it hears. Radios are half
+    duplex: a receiver's own overlapping frame always collides.
 
     clear, if given, is the sender's clear-frame outcome map: its fully
     decided row, with "delivered" where heard and "out-of-range" elsewhere.
@@ -186,23 +170,15 @@ def arbitrate(channel: ChannelState, tx: Transmission, links: dict, positions: d
     overlaps = channel.overlapping(tx)
     if clear is not None and not overlaps:
         return clear
-    src = tx.src
+    src, src_pos = tx.src, tx.src_pos
     out = {}
-    for nid, heard in links[src].items():
-        if heard is None:
-            heard = hears(nid, src, _dist(positions[nid], tx.src_pos), comm_range, blocked)
-        if not heard:
+    for nid in receivers:
+        if not heard(nid, src, src_pos):
             out[nid] = "out-of-range"
             continue
         outcome = "delivered"
         for o in overlaps:
-            if o.src == nid:
-                outcome = "collided"
-                break
-            jams = links[o.src][nid]
-            if jams is None:
-                jams = hears(nid, o.src, _dist(positions[nid], o.src_pos), comm_range, blocked)
-            if jams:
+            if o.src == nid or heard(nid, o.src, o.src_pos):
                 outcome = "collided"
                 break
         out[nid] = outcome
@@ -218,7 +194,6 @@ class _FanOut:
     collided: int
     out_of_range: int
     agents: tuple  # (index in delivered, _Node) of each delivered agent
-    by_id: Mapping  # node id -> _Node of each delivered node, read-only
 
 
 @dataclass
@@ -295,10 +270,10 @@ LS_COV.setflags(write=False)
 
 
 class _Node:
-    def __init__(self, nid, is_anchor, traj, clock, belief):
+    def __init__(self, nid, is_anchor, waypoints, clock, belief):
         self.nid = nid
         self.is_anchor = is_anchor
-        self.traj = traj
+        self.waypoints = waypoints  # ((x, y, z), arrival_s, dwell_s) float tuples
         self.clock = clock
         self.belief = belief
         self.table: dict = {}  # neighbor id -> protocol.NeighborEntry
@@ -309,7 +284,7 @@ class _Node:
         self.in_hold = False
         self.csma_attempt = 0
         self.exchange_queue: deque = deque()
-        self.static_pos = traj.waypoints[0][0] if len(traj.waypoints) == 1 else None
+        self.static_pos = waypoints[0][0] if len(waypoints) == 1 else None
         self.piece = None  # the _trajectory_piece of the last position asked
         self.timer_pending = False  # a _session_timeout event is queued
         self.collected: dict = {}
@@ -368,13 +343,6 @@ class Simulation:
         self._ordered = [self.nodes[nid] for nid in sorted(self.nodes)]
         self._links = self._fixed_links()
         self._fanouts = self._clear_fanouts()
-        # Positions at the last frame end, read only for undecided links: the
-        # moving nodes that have one are refreshed at every frame end.
-        self._frame_pos = {n.nid: n.static_pos for n in self._ordered}
-        self._undecided_movers = [
-            n for n in self._ordered
-            if n.static_pos is None and None in self._links[n.nid].values()
-        ]
 
     # -- construction --------------------------------------------------------
 
@@ -382,8 +350,8 @@ class Simulation:
         self.nodes: dict[int, _Node] = {}
         par = self.par
         for a in self.scenario.anchors:
-            traj = Trajectory(((a.position, 0.0, 0.0),))
-            node = _Node(a.id, True, traj, self._draw_clock(), anchor_belief(a.position))
+            wps = ((a.position, 0.0, 0.0),)
+            node = _Node(a.id, True, wps, self._draw_clock(), anchor_belief(a.position))
             self.nodes[a.id] = node
         for a in self.scenario.agents:
             wps = [(a.initial_position, 0.0, 0.0)]
@@ -391,7 +359,6 @@ class Simulation:
                 wps.append((w.position, w.arrival_s, w.dwell_s))
             if a.trajectory and a.trajectory[0].arrival_s == 0.0:
                 wps = wps[1:]
-            traj = Trajectory(tuple(wps))
             mean = np.array(
                 a.belief_mean if a.belief_mean is not None else DEFAULT_BELIEF_MEAN,
                 dtype=float,
@@ -402,7 +369,7 @@ class Simulation:
                 ps = POS_SIGMA if a.pos_sigma is None else a.pos_sigma
                 vs = VEL_SIGMA if a.vel_sigma is None else a.vel_sigma
                 cov = np.diag([ps * ps] * 3 + [vs * vs] * 3)
-            node = _Node(a.id, False, traj, self._draw_clock(), GaussianBelief(mean, cov))
+            node = _Node(a.id, False, tuple(wps), self._draw_clock(), GaussianBelief(mean, cov))
             self.nodes[a.id] = node
         # epoch periods and initial events, in sorted id order for determinism
         for nid in sorted(self.nodes):
@@ -436,8 +403,8 @@ class Simulation:
                 elif a.static_pos is not None and b.static_pos is not None:
                     dist = _dist(a.static_pos, b.static_pos)
                     heard = hears(a.nid, b.nid, dist, comm_range, blocked)
-                elif all(_dist(p, q) <= reach for p, _a, _d in a.traj.waypoints
-                         for q, _a, _d in b.traj.waypoints):
+                elif all(_dist(p, q) <= reach for p, _a, _d in a.waypoints
+                         for q, _a, _d in b.waypoints):
                     heard = True
                 else:
                     heard = None
@@ -458,9 +425,9 @@ class Simulation:
         return fanouts
 
     def _fan_out(self, outcomes: Mapping) -> _FanOut:
-        """The settle of a frame with these outcomes: its delivered nodes, the
-        delivered agents each with its index among them (and so in the
-        frame's gains), and an id -> node map of the delivered nodes."""
+        """The settle of a frame with these outcomes: its delivered nodes and
+        the delivered agents each with its index among them (and so in the
+        frame's gains)."""
         nodes = self.nodes
         delivered = []
         collided = 0
@@ -471,16 +438,15 @@ class Simulation:
                 collided += 1
         agents = tuple((i, node) for i, node in enumerate(delivered) if not node.is_anchor)
         return _FanOut(outcomes, tuple(delivered), collided,
-                       len(outcomes) - len(delivered) - collided, agents,
-                       MappingProxyType({node.nid: node for node in delivered}))
+                       len(outcomes) - len(delivered) - collided, agents)
 
-    def _hears_now(self, a: _Node, b: int, b_pos: tuple, t: float) -> bool:
-        """Whether node a hears node b, at b_pos, at time t: the fixed entry
-        where the run decided it, else `hears` at a's position at t."""
-        heard = self._links[a.nid][b]
+    def _hears_now(self, a: int, b: int, b_pos: tuple) -> bool:
+        """Whether node a hears node b, at b_pos, now: the fixed entry where
+        the run decided it, else `hears` at a's position now."""
+        heard = self._links[a][b]
         if heard is None:
-            dist = _dist(self._position(a, t), b_pos)
-            heard = hears(a.nid, b, dist, self._comm_range, self._blocked)
+            dist = _dist(self._position(self.nodes[a], self.now), b_pos)
+            heard = hears(a, b, dist, self._comm_range, self._blocked)
         return heard
 
     def _draw_clock(self) -> ClockModel:
@@ -496,13 +462,13 @@ class Simulation:
         heapq.heappush(self._queue, (t, next(self._seq), fn, args))
 
     def _position(self, node: _Node, t: float) -> tuple:
-        """mobility_position(node.traj, t), from the node's cached piece of its
-        trajectory while t stays inside it."""
+        """mobility_position(node.waypoints, t), from the node's cached piece
+        of its trajectory while t stays inside it."""
         if node.static_pos is not None:
             return node.static_pos
         piece = node.piece
         if piece is None or not piece[0] < t <= piece[1]:
-            piece = node.piece = _trajectory_piece(node.traj, t)
+            piece = node.piece = _trajectory_piece(node.waypoints, t)
         return _piece_position(piece, t)
 
     def is_nlos(self, a: int, b: int, t: float) -> bool:
@@ -545,8 +511,7 @@ class Simulation:
         start = self.now
         msg.tx_ts = node.clock.ticks(start)
         msg.payload = node.belief  # immutable, so receivers share it as sent
-        pos = node.static_pos or self._position(node, start)  # a 3-tuple if static
-        tx = Transmission(node.nid, start, start + air, pos, msg)
+        tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
         # A frame still in the air started at or after start - horizon, so a
         # frame that ended by then overlaps no live or later frame and no sense
         # window: pruning from the front of the start-ordered frames is enough.
@@ -557,23 +522,18 @@ class Simulation:
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
         for nid in self._links[node.nid] if sensing else ():
-            if nid in sensing:
-                agent = self.nodes[nid]
-                if self._hears_now(agent, node.nid, tx.src_pos, start):
-                    del sensing[nid]
-                    self._sense_busy(agent)
+            if nid in sensing and self._hears_now(nid, node.nid, tx.src_pos):
+                del sensing[nid]
+                self._sense_busy(self.nodes[nid])
         self._schedule(tx.end, self._tx_end, tx)
         return tx
 
     def _tx_end(self, tx: Transmission):
         end = tx.end
         msg = tx.msg
-        positions = self._frame_pos
-        for other in self._undecided_movers:
-            positions[other.nid] = self._position(other, end)
         fan = self._fanouts.get(tx.src)
-        outcomes = arbitrate(self.channel, tx, self._links, positions, self._comm_range,
-                             self._blocked, None if fan is None else fan.outcomes)
+        outcomes = arbitrate(self.channel, tx, self._links[tx.src], self._hears_now,
+                             None if fan is None else fan.outcomes)
         trace = self.trace
         if trace is not None:
             for nid, outcome in outcomes.items():
@@ -604,18 +564,17 @@ class Simulation:
         # Only the addressee of a unicast frame receives it (chirps have dst
         # None). Neither a table update nor a reception draws from the
         # generator or reads what the other changes, so the order is free.
-        node = fan.by_id.get(msg.dst)
-        if node is not None:
-            pos = node.static_pos or self._position(node, end)  # a 3-tuple if static
-            self._receive(node, tx, _dist(pos, tx.src_pos))
+        if fan.outcomes.get(msg.dst) == "delivered":
+            self._receive(self.nodes[msg.dst], tx)
 
-    def _receive(self, node: _Node, tx: Transmission, dist: float):
-        """A unicast frame addressed to `node`, `dist` from its sender, arrived
-        intact. Only the addressee reads the receive timestamp, so it is
-        stamped in place. The session's reply leaves TURNAROUND_S later; a
-        frame that ends the exchange unanswered clears the session, and the
-        initiator's report records its range."""
+    def _receive(self, node: _Node, tx: Transmission):
+        """A unicast frame addressed to `node` arrived intact now. Only the
+        addressee reads the receive timestamp, so it is stamped in place. The
+        session's reply leaves TURNAROUND_S later; a frame that ends the
+        exchange unanswered clears the session, and the initiator's report
+        records its range."""
         msg = tx.msg
+        dist = _dist(self._position(node, self.now), tx.src_pos)
         excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
         msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
         session = node.session
@@ -773,7 +732,7 @@ class Simulation:
         for tx in self.channel.recent:  # a frame already in the air
             if tx.src == agent.nid or not tx.start <= now < tx.end:
                 continue
-            if self._hears_now(agent, tx.src, tx.src_pos, now):
+            if self._hears_now(agent.nid, tx.src, tx.src_pos):
                 self._sense_busy(agent)
                 return
         token = self._sensing[agent.nid] = object()
@@ -826,7 +785,7 @@ class Simulation:
         now, nodes = self.now, self.nodes
         for nid in self._links[agent.nid]:  # agent itself is not holding
             other = nodes[nid]
-            if other.in_hold and self._hears_now(agent, nid, self._position(other, now), now):
+            if other.in_hold and self._hears_now(agent.nid, nid, self._position(other, now)):
                 self.counters["subnet_violations"] += 1
                 break
         agent.in_hold = True

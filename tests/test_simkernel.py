@@ -47,7 +47,6 @@ from coopnav.simkernel import (
     ChannelState,
     RunRecord,
     Simulation,
-    Trajectory,
     Transmission,
     arbitrate,
     hears,
@@ -84,12 +83,7 @@ def small_scenario(**over):
 
 
 class TestMobility:
-    TRAJ = Trajectory(
-        (
-            (np.array([0.0, 0.0, 0.0]), 1.0, 2.0),
-            (np.array([4.0, 0.0, 0.0]), 5.0, 0.0),
-        )
-    )
+    TRAJ = (((0.0, 0.0, 0.0), 1.0, 2.0), ((4.0, 0.0, 0.0), 5.0, 0.0))
 
     def test_before_first_waypoint(self):
         assert np.allclose(mobility_position(self.TRAJ, 0.0), [0, 0, 0])
@@ -106,12 +100,11 @@ class TestMobility:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(SimulationError):
-            mobility_position(Trajectory(()), 0.0)
+            mobility_position((), 0.0)
 
 
-def _scan_position(traj, t):
+def _scan_position(wps, t):
     """Reference: the position at t by a direct scan of the waypoints."""
-    wps = traj.waypoints
     if t <= wps[0][1]:
         return wps[0][0]
     for (p0, a0, d0), (p1, a1, _d1) in zip(wps, wps[1:]):
@@ -146,7 +139,7 @@ class TestPositionCache:
     def test_matches_mobility_position(self, sim):
         sim = sim()
         node = sim.nodes[10]
-        wps = node.traj.waypoints
+        wps = node.waypoints
         rng = random.Random(7)
         times = [-1.0, wps[0][1] - 0.5, wps[-1][1] + wps[-1][2] + 5.0]
         times += [rng.uniform(-1.0, wps[-1][1] + 5.0) for _ in range(300)]
@@ -157,9 +150,9 @@ class TestPositionCache:
                 # each piece end, asked right after a time just past it
                 times += [math.nextafter(b, math.inf), b, math.nextafter(b, -math.inf), b]
         for t in times:
-            want = self.bits(mobility_position(node.traj, t))
+            want = self.bits(mobility_position(wps, t))
             assert self.bits(sim._position(node, t)) == want, t
-            assert self.bits(_scan_position(node.traj, t)) == want, t
+            assert self.bits(_scan_position(wps, t)) == want, t
 
 
 def _tx(src, start, end, pos):
@@ -187,6 +180,17 @@ def _links(ids, fixed=None):
     return table
 
 
+def _table_rule(links, positions, comm_range, blocked):
+    """A `heard` rule for arbitrate: the fixed-link table's entry where it
+    decides a link, else `hears` at the receiver's entry of `positions`."""
+    def heard(nid, src, src_pos):
+        h = links[nid][src]
+        if h is None:
+            h = hears(nid, src, simkernel._dist(positions[nid], src_pos), comm_range, blocked)
+        return h
+    return heard
+
+
 class TestArbitrate:
     """Outcomes from the fixed-link table where it decides a link, and from
     the positions at the frame's end where it does not. A decided link reads
@@ -195,12 +199,13 @@ class TestArbitrate:
     @staticmethod
     def arbitrate(frames, links, positions, comm_range=10.0, blocked=frozenset(), clear=None):
         """Outcomes of the first of the (src, start, end, position) frames,
-        with all of them on the channel."""
+        with all of them on the channel, to the sender's row of `links`."""
         ch = ChannelState()
         txs = [_tx(*f) for f in frames]
         for tx in txs:
             ch.add(tx)
-        return arbitrate(ch, txs[0], links, positions, comm_range, blocked, clear)
+        rule = _table_rule(links, positions, comm_range, blocked)
+        return arbitrate(ch, txs[0], links.get(txs[0].src, {}), rule, clear)
 
     def test_delivery_in_range(self):
         out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], _links([1, 2]), {2: (5.0, 0, 0)})
@@ -268,8 +273,8 @@ class TestArbitrate:
 
     def test_clear_frame_returns_its_fan_out(self):
         # A frame that overlaps nothing settles from the sender's clear map
-        # alone: the empty table would raise on any read. A frame that ends
-        # as this one starts does not overlap it.
+        # alone: the empty table would raise on any read, and give no
+        # receiver. A frame that ends as this one starts does not overlap it.
         clear = {2: "delivered", 3: "out-of-range"}
         for frames in ([(1, 0.0, 0.001, [0, 0, 0])],
                        [(1, 0.001, 0.002, [0, 0, 0]), (2, 0.0, 0.001, [5.0, 0, 0])]):
@@ -302,6 +307,21 @@ class TestArbitrate:
         result = _frames_only(scen, frames, collect_trace=True).run()
         ends = {(src, outcome) for t, _k, src, _d, outcome in result.trace if t == 0.01}
         assert ends == {(1, "collided@2"), (1, "collided@10"), (1, "out-of-range@3")}
+
+    def test_open_link_decided_at_frame_end(self):
+        # Agent 10 walks out of anchor 1's 9 m range at 1 s, so the table
+        # leaves their link open. Each chirp is decided with the receiver
+        # where it is at the chirp's end: the last one starts in range and
+        # ends out of it.
+        agents = (AgentSpec(10, (8.9, 0.0, 2.5), trajectory=(Waypoint((9.1, 0.0, 2.5), 2.0),)),)
+        scen = dataclasses.replace(
+            small_scenario(agents=agents, link_truth=LinkTruthConfig(comm_range_m=9.0)),
+            anchors=ANCHORS[:1])
+        frames = ((0.998, 10, CHIRP_AIR_S), (0.999, 1, CHIRP_AIR_S), (0.9999, 1, CHIRP_AIR_S))
+        sim = _frames_only(scen, frames, collect_trace=True)
+        assert sim._links[1][10] is None
+        outcomes = [outcome for _t, _k, _s, _d, outcome in sim.run().trace]
+        assert outcomes == ["delivered@1", "delivered@10", "out-of-range@10"]
 
 
 class TestChannelSounding:
@@ -873,10 +893,9 @@ class TestKernelProperties:
         assert all(ts == sorted(ts) for ts in times.values())
 
 
-def _piece_end_times(traj):
+def _piece_end_times(wps):
     """Times before and after a whole trajectory, and each end of its pieces
     (arrivals and departures) with its nextafter neighbours."""
-    wps = traj.waypoints
     times = [wps[0][1] - 1.0, wps[-1][1] + wps[-1][2] + 1.0]
     for _p, a, d in wps:
         for b in (a, a + d):
@@ -908,8 +927,8 @@ class TestFixedLinks:
                 if heard is None or b < a:
                     continue
                 decided += 1
-                pa, pb = ({mobility_position(nodes[n].traj, t)
-                           for t in _piece_end_times(nodes[n].traj)} for n in (a, b))
+                pa, pb = ({mobility_position(nodes[n].waypoints, t)
+                           for t in _piece_end_times(nodes[n].waypoints)} for n in (a, b))
                 for p in pa:
                     for q in pb:
                         assert hears(a, b, simkernel._dist(p, q), comm_range, blocked) is heard
@@ -927,13 +946,14 @@ class TestFixedLinks:
         n = len(sim.nodes)
         # Every bundled room lies within the range: all links are decided.
         assert self.check(sim) == n * (n - 1) // 2
-        assert sim._undecided_movers == []
+        assert all(None not in row.values() for row in sim._links.values())
 
     @pytest.mark.parametrize("name", sorted({name for name, _acronym in SHORT_RANGE}))
     def test_short_range(self, name):
         sim = Simulation(_short_range(load_scenario(bundled_scenario_path(name))), seed=0)
         assert self.check(sim) > 0
-        assert sim._undecided_movers  # the range cuts across a walk
+        # the range cuts across a walk
+        assert any(None in row.values() for row in sim._links.values())
 
     @settings(max_examples=200, deadline=None)
     @given(scen=_fuzz_scenarios())
@@ -959,12 +979,12 @@ class TestClearFanOut:
     """A sender whose fixed-link row is fully decided has a clear-frame
     fan-out: the settle of a frame that overlaps nothing, with outcomes as
     `hears` per receiver gives them. A settle holds the delivered nodes, the
-    collided and out-of-range counts, the agent slots (each delivered agent
-    with its index among the delivered nodes, so in the frame's gains) and
-    the delivered nodes by id. A frame overlapped by one other frame falls
-    back to the per-receiver rule, collisions and half duplex included, and
-    settles through `_fan_out` of its outcomes. A row with an undecided link
-    gets no fan-out."""
+    collided and out-of-range counts and the agent slots (each delivered
+    agent with its index among the delivered nodes, so in the frame's
+    gains). A frame overlapped by one other frame falls back to the
+    per-receiver rule, collisions and half duplex included, and settles
+    through `_fan_out` of its outcomes. A row with an undecided link gets no
+    fan-out."""
 
     @staticmethod
     def assert_settles(fan, outcomes, nodes):
@@ -976,17 +996,15 @@ class TestClearFanOut:
         assert fan.out_of_range == list(outcomes.values()).count("out-of-range")
         assert fan.agents == tuple((i, nodes[nid]) for i, nid in enumerate(heard_ids)
                                    if not nodes[nid].is_anchor)
-        assert dict(fan.by_id) == {nid: nodes[nid] for nid in heard_ids}
-        with pytest.raises(TypeError):
-            fan.by_id[0] = None
 
     @staticmethod
     def check(sim):
         links, nodes = sim._links, sim.nodes
         comm_range, blocked = sim._comm_range, sim._blocked
         # Any positions will do: a decided link is `hears` at all of them
-        # (TestFixedLinks), and arbitrate reads these for undecided ones.
-        pos = {nid: mobility_position(n.traj, 0.0) for nid, n in nodes.items()}
+        # (TestFixedLinks), and the link rule reads these for undecided ones.
+        pos = {nid: mobility_position(n.waypoints, 0.0) for nid, n in nodes.items()}
+        rule = _table_rule(links, pos, comm_range, blocked)
 
         def heard(a, b):
             return hears(a, b, simkernel._dist(pos[a], pos[b]), comm_range, blocked)
@@ -1004,13 +1022,13 @@ class TestClearFanOut:
             lone = _tx(src, 0.0, 0.001, pos[src])
             ch = ChannelState()
             ch.add(lone)
-            assert arbitrate(ch, lone, links, pos, comm_range, blocked, fan.outcomes) is fan.outcomes
-            assert arbitrate(ch, lone, links, pos, comm_range, blocked) == want
+            assert arbitrate(ch, lone, row, rule, fan.outcomes) is fan.outcomes
+            assert arbitrate(ch, lone, row, rule) == want
             for o in row:  # one overlapping frame from each other node
                 ch = ChannelState()
                 ch.add(lone)
                 ch.add(_tx(o, 0.0005, 0.0015, pos[o]))
-                out = arbitrate(ch, lone, links, pos, comm_range, blocked, fan.outcomes)
+                out = arbitrate(ch, lone, row, rule, fan.outcomes)
                 assert out is not fan.outcomes
                 contested = {
                     nid: "out-of-range" if not heard(nid, src)
