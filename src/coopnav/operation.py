@@ -34,6 +34,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _finite_3x3(c: np.ndarray) -> bool:
+    """Whether c is a finite 3x3 matrix. math.isfinite over its entries takes
+    a third of the time of np.isfinite(c).all()."""
+    return c.shape == (3, 3) and all(map(math.isfinite, c.ravel().tolist()))
+
+
 def unit_direction(mu_j, mu_k) -> np.ndarray:
     """Unit vector from mu_j toward mu_k."""
     d = np.asarray(mu_k, dtype=float) - np.asarray(mu_j, dtype=float)
@@ -57,10 +63,12 @@ class LinkInfo:
         # from them stay valid.
         u = _readonly(self.u)
         c = _readonly(self.c_pk)
-        if abs(_norm(u) - 1.0) > 1e-9:
-            raise InvalidArgumentError("direction vector must be unit norm")
-        if self.xi < 0:
-            raise InvalidArgumentError("ranging coefficient must be >= 0")
+        if u.shape != (3,) or not abs(_norm(u) - 1.0) <= 1e-9:  # NaN fails
+            raise InvalidArgumentError("direction vector must be a unit 3-vector")
+        if not 0 <= self.xi < math.inf:
+            raise InvalidArgumentError("ranging coefficient must be finite and >= 0")
+        if not _finite_3x3(c):
+            raise InvalidArgumentError("neighbor position covariance must be finite 3x3")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c_pk", c)
 
@@ -84,18 +92,19 @@ class AllocationProblem:
     budget: int
 
     def __post_init__(self):
-        c = symmetrize(np.asarray(self.c_pj, dtype=float))
-        if c.shape != (3, 3):
-            raise InvalidArgumentError("own position covariance must be 3x3")
-        if self.budget < 0:
-            raise InvalidArgumentError("budget must be >= 0")
+        c = np.asarray(self.c_pj, dtype=float)
+        if not _finite_3x3(c):
+            raise InvalidArgumentError("own position covariance must be finite 3x3")
+        b = self.budget
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 0:
+            raise InvalidArgumentError("budget must be an integer >= 0")
         links = tuple(self.links)
         ids = [l.neighbor for l in links]
         if len(set(ids)) != len(ids):
             raise InvalidArgumentError("links must address distinct neighbors")
-        # Read-only (symmetrize made a new array), so the cached prior
+        # Read-only (symmetrize makes a new array), so the cached prior
         # information below stays valid.
-        object.__setattr__(self, "c_pj", _lock(c))
+        object.__setattr__(self, "c_pj", _lock(symmetrize(c)))
         object.__setattr__(self, "links", links)
 
     @cached_property
@@ -208,17 +217,11 @@ def trace_increase(covariances, model: MotionModel, dt: float) -> float:
     return total
 
 
-def htna_decide(problem: AllocationProblem, proposal: AllocationResult, covariances,
-                motion: MotionModel, dt_s: float) -> bool:
-    """Activate iff the own trace reduction exceeds the subnetwork trace increase.
-
-    The proposal must be an allocation for `problem`: its objective, the
-    predicted covariance trace, gives the reduction tr(C_pj) - objective
-    without evaluating predicted_covariance again. `covariances` are the own
-    and the non-anchor neighbor full-state covariances, and `dt_s` the
-    assumed channel access time for the proposal.
-    """
-    reduction = float(problem.c_pj.trace() - proposal.objective)
+def htna_decide(reduction: float, covariances, motion: MotionModel, dt_s: float) -> bool:
+    """Activate iff the own trace `reduction`, tr(C_pj) less the proposal's
+    predicted covariance trace, exceeds the trace increase over `dt_s`, the
+    proposal's assumed channel access time, of the own and non-anchor
+    neighbor full-state `covariances`."""
     return reduction > trace_increase(covariances, motion, dt_s)
 
 

@@ -4,9 +4,10 @@ Covers the four-message symmetric double-sided two-way ranging exchange,
 chirp-based neighbor discovery, the channel-quality estimate, and the three
 channel-access policies. State machines here are pure with respect to
 the channel: the simulation kernel stamps timestamps and moves messages.
-Every frame carries its sender's belief, which the kernel stamps as the frame
-leaves; each receiver's neighbor table keeps that belief object as it is
-(beliefs are immutable), so a node's neighbors share one belief per send.
+A frame is its `Message`, sent once: as it leaves, the kernel stamps `tx_ts`,
+`start`, `end`, `src_pos` and `payload`, the sender's belief, which each
+receiver's neighbor table keeps as it is (beliefs are immutable), so a node's
+neighbors share one belief per send.
 
 Ranging exchange layout (initiator I, responder R), with the `Message`
 fields each frame carries beside its own `tx_ts` and `rx_ts`, and the kind
@@ -67,9 +68,12 @@ class Message:
     kind: MsgKind
     src: object  # node id
     dst: object | None  # None for chirp broadcast
-    tx_ts: float | None = None  # local-clock ticks at the sender
+    tx_ts: float | None = None  # local-clock ticks at the sender, stamped at send
     rx_ts: float | None = None  # local-clock ticks at the receiver
     payload: GaussianBelief | None = None  # the sender's belief, stamped at send
+    start: float | None = None  # simulation time on the air [s], stamped at send
+    end: float | None = None  # simulation time off the air [s], stamped at send
+    src_pos: tuple | None = None  # the sender's (x, y, z) at start, stamped at send
     t1: float | None = None  # on a final: the init's tx_ts
     t4: float | None = None  # on a final: the response's rx_ts
     range_m: float | None = None  # on a report: the responder's range

@@ -114,23 +114,14 @@ def hears(a: int, b: int, dist: float, comm_range: float, blocked) -> bool:
     return dist <= comm_range and (not blocked or link_key(a, b) not in blocked)
 
 
-@dataclass(slots=True)
-class Transmission:
-    src: int
-    start: float
-    end: float
-    src_pos: tuple  # (x, y, z) at the start of the frame
-    msg: Message
-
-
 class ChannelState:
-    """Shared-channel bookkeeping used for collision arbitration."""
+    """Shared-channel bookkeeping for collision arbitration; a frame is its Message."""
 
     def __init__(self):
-        self.recent: deque[Transmission] = deque()  # in start order
+        self.recent: deque[Message] = deque()  # in start order
 
-    def add(self, tx: Transmission) -> None:
-        self.recent.append(tx)
+    def add(self, frame: Message) -> None:
+        self.recent.append(frame)
 
     def prune(self, now: float, horizon: float) -> None:
         """Forget the leading frames that ended `horizon` or more before
@@ -143,17 +134,17 @@ class ChannelState:
         while recent and recent[0].end <= cutoff:
             recent.popleft()
 
-    def overlapping(self, tx: Transmission) -> list[Transmission]:
+    def overlapping(self, frame: Message) -> list[Message]:
         return [
-            t
-            for t in self.recent
-            if t is not tx and t.start < tx.end and t.end > tx.start
+            f
+            for f in self.recent
+            if f is not frame and f.start < frame.end and f.end > frame.start
         ]
 
 
-def arbitrate(channel: ChannelState, tx: Transmission, receivers, heard,
+def arbitrate(channel: ChannelState, frame: Message, receivers, heard,
               clear=None) -> Mapping:
-    """Per-receiver outcome of a finished transmission.
+    """Per-receiver outcome of a finished frame.
 
     receivers are the node ids that may receive it, in order (the sender's
     row of the fixed-link table). heard(nid, src, src_pos) is whether node
@@ -167,10 +158,10 @@ def arbitrate(channel: ChannelState, tx: Transmission, receivers, heard,
     With no overlapping frame the rule reduces to exactly that, and the map
     itself (the same object) is returned, so a caller can tell.
     """
-    overlaps = channel.overlapping(tx)
+    overlaps = channel.overlapping(frame)
     if clear is not None and not overlaps:
         return clear
-    src, src_pos = tx.src, tx.src_pos
+    src, src_pos = frame.src, frame.src_pos
     out = {}
     for nid in receivers:
         if not heard(nid, src, src_pos):
@@ -288,10 +279,8 @@ class _Node:
         self.piece = None  # the _trajectory_piece of the last position asked
         self.timer_pending = False  # a _session_timeout event is queued
         self.collected: dict = {}
-        # This epoch's links, (neighbor id, u, xi, neighbor position cov), as
-        # prioritization saw them, and their AllocationProblem once built.
+        # This epoch's links as prioritization saw them: (neighbor id, u, xi, its position cov).
         self.links: list = []
-        self.problem = None
         self.proposal = None
         self.warm_alloc: dict = {}
 
@@ -508,36 +497,36 @@ class Simulation:
     # -- channel -------------------------------------------------------------
 
     def _transmit(self, node: _Node, msg: Message, air: float):
-        start = self.now
+        """Put msg on the air now: the one place a frame leaves a node."""
+        start = msg.start = self.now
+        msg.end = start + air
         msg.tx_ts = node.clock.ticks(start)
         msg.payload = node.belief  # immutable, so receivers share it as sent
-        tx = Transmission(node.nid, start, start + air, self._position(node, start), msg)
+        msg.src_pos = self._position(node, start)
         # A frame still in the air started at or after start - horizon, so a
         # frame that ended by then overlaps no live or later frame and no sense
         # window: pruning from the front of the start-ordered frames is enough.
         channel = self.channel
         channel.prune(start, self._channel_horizon)
-        channel.add(tx)
+        channel.add(msg)
         self.counters["transmissions"] += 1
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
         for nid in self._links[node.nid] if sensing else ():
-            if nid in sensing and self._hears_now(nid, node.nid, tx.src_pos):
+            if nid in sensing and self._hears_now(nid, node.nid, msg.src_pos):
                 del sensing[nid]
                 self._sense_busy(self.nodes[nid])
-        self._schedule(tx.end, self._tx_end, tx)
-        return tx
+        self._schedule(msg.end, self._tx_end, msg)
 
-    def _tx_end(self, tx: Transmission):
-        end = tx.end
-        msg = tx.msg
-        fan = self._fanouts.get(tx.src)
-        outcomes = arbitrate(self.channel, tx, self._links[tx.src], self._hears_now,
+    def _tx_end(self, msg: Message):
+        end, src = msg.end, msg.src
+        fan = self._fanouts.get(src)
+        outcomes = arbitrate(self.channel, msg, self._links[src], self._hears_now,
                              None if fan is None else fan.outcomes)
         trace = self.trace
         if trace is not None:
             for nid, outcome in outcomes.items():
-                trace.append((end, msg.kind.value, tx.src, msg.dst, f"{outcome}@{nid}"))
+                trace.append((end, msg.kind.value, src, msg.dst, f"{outcome}@{nid}"))
         if fan is None or outcomes is not fan.outcomes:  # contested, or an undecided row
             fan = self._fan_out(outcomes)
         n_delivered = len(fan.delivered)
@@ -559,24 +548,23 @@ class Simulation:
         # an anchor's delivery only takes its gain.
         any_nlos = self._any_nlos
         for i, node in fan.agents:
-            xi = erc_estimate(any_nlos and self.is_nlos(node.nid, tx.src, end), gains[i])
+            xi = erc_estimate(any_nlos and self.is_nlos(node.nid, src, end), gains[i])
             neighbor_update(node.table, msg, end, xi=xi)
         # Only the addressee of a unicast frame receives it (chirps have dst
         # None). Neither a table update nor a reception draws from the
         # generator or reads what the other changes, so the order is free.
         if fan.outcomes.get(msg.dst) == "delivered":
-            self._receive(self.nodes[msg.dst], tx)
+            self._receive(self.nodes[msg.dst], msg)
 
-    def _receive(self, node: _Node, tx: Transmission):
+    def _receive(self, node: _Node, msg: Message):
         """A unicast frame addressed to `node` arrived intact now. Only the
         addressee reads the receive timestamp, so it is stamped in place. The
         session's reply leaves TURNAROUND_S later; a frame that ends the
         exchange unanswered clears the session, and the initiator's report
         records its range."""
-        msg = tx.msg
-        dist = _dist(self._position(node, self.now), tx.src_pos)
-        excess = self._link_excess.get(link_key(node.nid, tx.src), 0.0)
-        msg.rx_ts = node.clock.ticks(tx.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
+        dist = _dist(self._position(node, self.now), msg.src_pos)
+        excess = self._link_excess.get(link_key(node.nid, msg.src), 0.0)
+        msg.rx_ts = node.clock.ticks(msg.start + (dist + excess) / protocol.SPEED_OF_LIGHT)
         session = node.session
         if session is None:
             if msg.kind is not MsgKind.RANGING_INIT or node.in_hold:
@@ -660,7 +648,6 @@ class Simulation:
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
         protocol.purge_neighbors(agent.table, t0, protocol.NEIGHBOR_EXPIRY_S)
-        agent.problem = None
         agent.proposal = proposal = self._prioritize(agent)
         if proposal is None or proposal.total == 0:
             self._finalize(agent)
@@ -674,14 +661,6 @@ class Simulation:
         else:  # HTNA
             self._start_sense(agent, protocol.htna_sense_window(self.par.t_m_s, self.rng))
 
-    def _eligible_neighbors(self, agent: _Node) -> list:
-        out = []
-        for nid in sorted(agent.table):
-            if not self.par.allow_agent_measurements and not self.nodes[nid].is_anchor:
-                continue
-            out.append(nid)
-        return out
-
     def _prioritize(self, agent: _Node):
         """Snapshot the agent's links into agent.links and propose how many
         measurements to make on each, or return None if it has no link.
@@ -689,7 +668,9 @@ class Simulation:
         only _htna_gate reads one, so it builds it from the snapshot."""
         mu_p = agent.belief.mean[:3]
         links = agent.links = []
-        for nid in self._eligible_neighbors(agent):
+        for nid in sorted(agent.table):
+            if not self.par.allow_agent_measurements and not self.nodes[nid].is_anchor:
+                continue
             entry = agent.table[nid]
             try:
                 u = operation.unit_direction(mu_p, entry.belief.mean[:3])
@@ -705,7 +686,7 @@ class Simulation:
             m = np.zeros(len(links), dtype=int)
             m[pick] = M_PER_NEIGHBOR
             return operation.AllocationResult(m, None)  # see _htna_gate
-        problem = agent.problem = self._allocation_problem(agent, self.par.budget)
+        problem = self._allocation_problem(agent, self.par.budget)
         warm = np.array(
             [agent.warm_alloc.get(l[0], self.par.budget / len(links)) for l in links]
         )
@@ -729,10 +710,10 @@ class Simulation:
         already in the air, else busy at the first frame that it hears
         starting (see `_transmit`), else idle when the window ends."""
         now = self.now
-        for tx in self.channel.recent:  # a frame already in the air
-            if tx.src == agent.nid or not tx.start <= now < tx.end:
+        for frame in self.channel.recent:  # a frame already in the air
+            if frame.src == agent.nid or not frame.start <= now < frame.end:
                 continue
-            if self._hears_now(agent.nid, tx.src, tx.src_pos):
+            if self._hears_now(agent.nid, frame.src, frame.src_pos):
                 self._sense_busy(agent)
                 return
         token = self._sensing[agent.nid] = object()
@@ -760,19 +741,19 @@ class Simulation:
             self._htna_gate(agent)
 
     def _htna_gate(self, agent: _Node):
-        result = agent.proposal
-        if result.objective is None:
-            # Only this gate reads the allocation inputs and the predicted
-            # trace of a uniform pick.
-            agent.problem = self._allocation_problem(agent, M_PER_NEIGHBOR)
-            obj = operation.predicted_covariance(agent.problem, result.m).trace()
-            result = operation.AllocationResult(result.m, float(obj))
-        dt_j = self.par.t_m_s * result.total
-        covs = [agent.belief.covariance]
+        proposal = agent.proposal
+        objective = proposal.objective
+        if objective is None:  # only this gate reads a uniform pick's problem and trace
+            problem = self._allocation_problem(agent, M_PER_NEIGHBOR)
+            objective = operation.predicted_covariance(problem, proposal.m).trace()
+        own = agent.belief.covariance
+        reduction = float(own[:3, :3].trace() - objective)
+        covs = [own]
         for nid in sorted(agent.table):
             if not self.nodes[nid].is_anchor:
                 covs.append(agent.table[nid].belief.covariance)
-        if operation.htna_decide(agent.problem, result, covs, self.motion, dt_j):
+        dt_j = self.par.t_m_s * proposal.total
+        if operation.htna_decide(reduction, covs, self.motion, dt_j):
             self._begin_hold(agent)
         else:
             self._finalize(agent)

@@ -18,7 +18,6 @@ from coopnav.errors import DegenerateGeometryError, InvalidArgumentError
 from coopnav.model import GaussianBelief, MotionModel, symmetrize
 from coopnav.operation import (
     AllocationProblem,
-    AllocationResult,
     LinkInfo,
     brute_force_allocate,
     cpnp_allocate,
@@ -153,6 +152,44 @@ class TestDirections:
     def test_non_unit_link_rejected(self):
         with pytest.raises(InvalidArgumentError):
             LinkInfo(0, np.array([1.0, 1.0, 0.0]), 50.0, np.zeros((3, 3)))
+
+
+def _allocate(u=(1.0, 0.0, 0.0), xi=50.0, c_pk=np.zeros((3, 3)), c_pj=np.eye(3), budget=4):
+    """cpnp_allocate of a two-link problem, its first link built from these
+    inputs and its second an anchor along y."""
+    links = (LinkInfo(0, np.asarray(u, dtype=float), xi, c_pk),
+             LinkInfo(1, np.array([0.0, 1.0, 0.0]), 50.0, np.zeros((3, 3))))
+    return cpnp_allocate(AllocationProblem(c_pj, links, budget))
+
+
+class TestMalformedInputs:
+    """LinkInfo and AllocationProblem reject every input the solver cannot
+    use with InvalidArgumentError, instead of a numpy error, an IndexError
+    deep in the solver, or an allocation over the budget."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("bad", [
+        {"xi": NAN},
+        {"xi": INF},
+        {"u": (NAN, 0.0, 0.0)},
+        {"u": (1.0, 0.0)},
+        {"c_pk": np.diag([0.1, NAN, 0.1])},
+        {"c_pk": np.diag([0.1, INF, 0.1])},
+        {"c_pk": np.zeros((2, 2))},
+        {"c_pj": np.diag([1.0, NAN, 1.0])},
+        {"c_pj": np.ones((2, 3))},
+        {"c_pj": np.ones(3)},
+        {"budget": 2.5},
+        {"budget": True},
+    ], ids=lambda bad: "-".join(f"{k}={np.asarray(v).tolist()}" for k, v in bad.items()))
+    def test_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            _allocate(**bad)
+
+    def test_integer_budgets_accepted(self):
+        for budget in (0, 3, np.int64(3), np.uint8(3)):
+            assert _allocate(budget=budget).total == budget
 
 
 class TestLinkInfoCopies:
@@ -352,11 +389,6 @@ class TestTraceIncrease:
         assert three == pytest.approx(3 * one)
 
 
-def _proposal(problem, m):
-    # An allocation for `problem` carries its predicted covariance trace.
-    return AllocationResult(m, float(predicted_covariance(problem, m).trace()))
-
-
 class TestHtna:
     def _problem(self, xi=100.0):
         links = (
@@ -366,10 +398,9 @@ class TestHtna:
         return AllocationProblem(np.eye(3), links, 8)
 
     def test_activates_when_uncertain(self):
-        problem = self._problem()
-        proposal = _proposal(problem, np.array([4, 4]))
+        gain = reduction(self._problem(), np.array([4, 4]))
         covs = (np.diag([1.0, 1, 1, 0.01, 0.01, 0.01]),)
-        assert htna_decide(problem, proposal, covs, MOTION, 0.008)
+        assert htna_decide(gain, covs, MOTION, 0.008)
 
     def test_stays_silent_when_converged(self):
         links = (
@@ -377,19 +408,17 @@ class TestHtna:
             LinkInfo(1, np.array([0.0, 1, 0]), 100.0, np.zeros((3, 3))),
         )
         tiny = 1e-6 * np.eye(3)
-        problem = AllocationProblem(tiny, links, 8)
-        proposal = _proposal(problem, np.array([4, 4]))
+        gain = reduction(AllocationProblem(tiny, links, 8), np.array([4, 4]))
         # large subnetwork cost: three members with big velocity uncertainty
         big = np.diag([1.0, 1, 1, 4.0, 4.0, 4.0])
-        assert not htna_decide(problem, proposal, (big, big, big), MOTION, 0.05)
+        assert not htna_decide(gain, (big, big, big), MOTION, 0.05)
 
     def test_threshold_flips_with_access_time(self):
         # sweep the assumed channel-access time until the decision flips
-        problem = self._problem()
-        proposal = _proposal(problem, np.array([4, 4]))
+        gain = reduction(self._problem(), np.array([4, 4]))
         covs = (np.diag([0.01, 0.01, 0.01, 1.0, 1.0, 1.0]),) * 3
         decisions = [
-            htna_decide(problem, proposal, covs, MOTION, dt)
+            htna_decide(gain, covs, MOTION, dt)
             for dt in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         ]
         assert decisions[0] and not decisions[-1]
@@ -398,8 +427,9 @@ class TestHtna:
         assert all(not d for d in decisions[first_false:])
 
     def test_reduction_is_trace_reduction(self):
-        # The gate reads the reduction off the proposal's objective; it must
-        # decide exactly as a comparison against the recomputed reduction does.
+        # The gate reads the reduction off the proposal's objective,
+        # tr(C_pj) - objective; it must decide exactly as a comparison
+        # against the recomputed reduction does.
         rng = np.random.default_rng(18)
         for _ in range(40):
             n = int(rng.integers(1, 5))
@@ -408,7 +438,8 @@ class TestHtna:
             covs = (random_spd6(rng),) * int(rng.integers(1, 4))
             dt = float(10.0 ** rng.uniform(-2, 1))  # both decisions occur
             want = reduction(problem, proposal.m) > trace_increase(covs, MOTION, dt)
-            assert htna_decide(problem, proposal, covs, MOTION, dt) == want
+            gain = float(problem.c_pj.trace() - proposal.objective)
+            assert htna_decide(gain, covs, MOTION, dt) == want
 
 
 # Own-covariance scales for random_cov: traces of about 9, 2e-2 and 2e-3 m^2,

@@ -47,7 +47,6 @@ from coopnav.simkernel import (
     ChannelState,
     RunRecord,
     Simulation,
-    Transmission,
     arbitrate,
     hears,
     link_key,
@@ -156,8 +155,9 @@ class TestPositionCache:
 
 
 def _tx(src, start, end, pos):
-    msg = Message(MsgKind.CHIRP, src, None)
-    return Transmission(src, start, end, np.asarray(pos, dtype=float), msg)
+    """A chirp frame of node src, on the air from start to end, sent from pos."""
+    return Message(MsgKind.CHIRP, src, None, start=start, end=end,
+                   src_pos=np.asarray(pos, dtype=float))
 
 
 def _frames_only(scenario, frames, **kw):
@@ -746,7 +746,9 @@ class _CheckedSim(Simulation):
     """Counts, per agent, the epochs the kernel runs (those before the end).
     After every handler that changes a node's session, checks the session
     rule: a stored session that awaits nothing is a responder's whose last
-    sent message is its report, still to go out."""
+    sent message is its report, still to go out. Checks that every message
+    goes on the air once: a frame's times live on its message, so a message
+    sent again would rewrite a frame still in the channel."""
 
     def __init__(self, *args, **kw):
         self.epochs = {}
@@ -762,6 +764,10 @@ class _CheckedSim(Simulation):
         assert s is None or s.awaits is not None or (
             s.responder == node.nid and s.sent.kind is MsgKind.RANGING_REPORT
             and s.sent.tx_ts is None), (node.nid, s)
+
+    def _transmit(self, node, msg, air):
+        assert msg.start is None and msg.tx_ts is None, (node.nid, msg.kind, msg.start)
+        super()._transmit(node, msg, air)
 
     def _receive(self, node, *args):
         super()._receive(node, *args)
@@ -1134,10 +1140,9 @@ class TestSharedBeliefs:
         transmit = Simulation._transmit
 
         def checking(self, node, msg, air):
-            tx = transmit(self, node, msg, air)
+            transmit(self, node, msg, air)
             assert msg.payload is node.belief
             sent.setdefault(node.nid, []).append(node.belief)
-            return tx
 
         monkeypatch.setattr(Simulation, "_transmit", checking)
         sim = Simulation(small_scenario(agents=TWO_AGENTS, duration_s=2.0), seed=3)
@@ -1166,35 +1171,59 @@ class TestLsBelief:
             assert np.array_equal(belief.mean[:3], last.est_pos)
 
     def test_htna_reads_unit_covariance(self, monkeypatch):
-        own = []
-        htna_decide = operation.htna_decide
-
-        def recording(problem, proposal, covariances, motion, dt_s):
-            own.append((problem.c_pj, covariances[0]))
-            return htna_decide(problem, proposal, covariances, motion, dt_s)
-
-        monkeypatch.setattr(operation, "htna_decide", recording)
+        calls = _record_gates(monkeypatch)
         scen = small_scenario(duration_s=2.0, algorithms=Algorithms("LS", "HTNA", "UNIFORM"))
         run(scen, seed=1)
+        own = [(problem.c_pj, args[1][0]) for problem, args in _gates(calls)]
         assert own
         for c_pj, cov in own:
             assert np.array_equal(c_pj, LS_COV[:3, :3])
             assert np.array_equal(cov, LS_COV)
 
 
+def _record_gates(monkeypatch):
+    """Record, in call order, ("predicted_covariance", args) and
+    ("htna_decide", args) for each call of those two operation bindings.
+    Under uniform prioritization only the HTNA gate calls either."""
+    calls = []
+
+    def recording(name):
+        fn = getattr(operation, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        monkeypatch.setattr(operation, name, wrapper)
+
+    recording("predicted_covariance")
+    recording("htna_decide")
+    return calls
+
+
+def _gates(calls):
+    """(problem, htna_decide args) of each gate recorded by _record_gates,
+    after checking that each gate predicted from one problem and decided once."""
+    names = [name for name, _args in calls]
+    assert names == ["predicted_covariance", "htna_decide"] * (len(calls) // 2), names
+    return [(calls[i][1][0], calls[i + 1][1]) for i in range(0, len(calls), 2)]
+
+
 class _EagerProblemSim(Simulation):
     """Builds the AllocationProblem of a uniform pick eagerly at every
     prioritization, from the live neighbor table, and checks that each HTNA
-    gate's problem equals it."""
+    gate's problem, the one `operation.predicted_covariance` receives there
+    (recorded into `calls` by _record_gates), equals it."""
 
     def __init__(self, *args, **kw):
-        self.eager, self.gates = {}, 0
+        self.eager, self.gates, self.calls = {}, 0, None
         super().__init__(*args, **kw)
 
     def _prioritize(self, agent):
         mu_p = agent.belief.mean[:3]
         links = []
-        for nid in self._eligible_neighbors(agent):
+        for nid in sorted(agent.table):
+            if not self.par.allow_agent_measurements and not self.nodes[nid].is_anchor:
+                continue
             entry = agent.table[nid]
             try:
                 u = operation.unit_direction(mu_p, entry.belief.mean[:3])
@@ -1207,8 +1236,9 @@ class _EagerProblemSim(Simulation):
 
     def _htna_gate(self, agent):
         eager = self.eager[agent.nid]
+        start = len(self.calls)
         super()._htna_gate(agent)
-        gate = agent.problem
+        ((gate, _decided),) = _gates(self.calls[start:])
         assert [l.neighbor for l in gate.links] == [l.neighbor for l in eager.links]
         assert gate.budget == eager.budget
         for name in ("c_pj", "us", "xis", "rhos"):
@@ -1244,20 +1274,15 @@ class TestLazyAllocationInputs:
 
     def test_htna_builds_one_problem_per_gate(self, monkeypatch):
         built = self.counting(monkeypatch)
-        decided = []
-        htna_decide = operation.htna_decide
-
-        def recording(problem, *args):
-            decided.append(problem)
-            return htna_decide(problem, *args)
-
-        monkeypatch.setattr(operation, "htna_decide", recording)
+        calls = _record_gates(monkeypatch)
         result = run(self.SCEN.with_algorithms("BP-HT-UN"), seed=3)
         assert result.total_measurements() > 0
+        decided = [problem for problem, _args in _gates(calls)]
         assert decided and [id(p) for p in built] == [id(p) for p in decided]
 
-    def test_gate_problem_equals_eager_one(self):
+    def test_gate_problem_equals_eager_one(self, monkeypatch):
         sim = _EagerProblemSim(self.SCEN.with_algorithms("BP-HT-UN"), seed=3)
+        sim.calls = _record_gates(monkeypatch)
         assert sim.run().total_measurements() > 0
         assert sim.gates > 0
 
