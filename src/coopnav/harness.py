@@ -10,7 +10,7 @@ convergence transient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -38,26 +38,12 @@ def _errors(records) -> np.ndarray:
     return np.linalg.norm(est - true, axis=1)
 
 
-def position_errors(result: RunResult, node_id: int | None = None,
-                    burn_in_s: float | None = None) -> np.ndarray:
-    """Per-record localization errors [m], optionally for one node only."""
-    return _errors(_selected(result, node_id, burn_in_s))
-
-
 def rmse(errors) -> float:
     """Root-mean-square of the given errors."""
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         raise InvalidArgumentError("rmse requires at least one error sample")
     return float(np.sqrt(np.mean(errors * errors)))
-
-
-def outage_probability(errors, e_th: float) -> float:
-    """Fraction of errors strictly exceeding the threshold e_th."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.size == 0:
-        raise InvalidArgumentError("outage requires at least one error sample")
-    return float(np.mean(errors > e_th))
 
 
 def outage_threshold(errors, p_out: float) -> float:

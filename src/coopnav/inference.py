@@ -33,13 +33,6 @@ LS_DIVERGENCE_NORM = 1e6
 
 
 @dataclass(frozen=True)
-class SigmaPointSet:
-    points: np.ndarray  # (2L+1, L)
-    mean_weights: np.ndarray  # (2L+1,)
-    cov_weights: np.ndarray  # (2L+1,)
-
-
-@dataclass(frozen=True)
 class MeasurementEntry:
     """One averaged range measurement plus the neighbor's position belief."""
 
@@ -103,45 +96,31 @@ def _ut_weights(dim: int) -> tuple[float, np.ndarray, np.ndarray]:
     return dim + lam, wm, wc
 
 
-def generate_sigma_points(mean, cov) -> SigmaPointSet:
-    """Standard scaled unscented sigma-point set for N(mean, cov), on the
-    root of the symmetrized cov. The weights are shared read-only arrays."""
+def generate_sigma_points(mean, cov) -> np.ndarray:
+    """The (2L+1, L) standard scaled unscented sigma points of N(mean, cov),
+    on the root of the symmetrized cov; _ut_weights(L) holds their weights."""
     mean = np.asarray(mean, dtype=float)
     dim = mean.shape[0]
-    scale, wm, wc = _ut_weights(dim)
+    scale = _ut_weights(dim)[0]
     root = _matrix_sqrt(np.asarray(cov, dtype=float), scale)
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean
     points[1 : dim + 1] = mean + root.T
     points[dim + 1 :] = mean - root.T
-    return SigmaPointSet(points, wm, wc)
+    return points
 
 
-def sigma_point_update(mean, cov, h, z, noise_cov):
-    """Unscented Bayes update of N(mean, cov) against z = h(x) + noise.
-
-    Returns (mean', cov', diagnostics dict). cov is symmetrized on entry.
-    The posterior covariance is computed as cov - K S K^T, symmetrized, with
-    negative eigenvalues clamped at zero.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = symmetrize(np.asarray(cov, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    sp = generate_sigma_points(mean, cov)
-    zp = np.array([np.atleast_1d(h(x)) for x in sp.points])
-    return _unscented_update(mean, cov, sp, zp, z, noise_cov)
-
-
-def _unscented_update(mean, cov, sp: SigmaPointSet, zp, z, noise_cov):
-    """sigma_point_update given the sigma points sp of N(mean, cov) and the
-    (2L+1, m) array zp of their measurements; all arguments float arrays."""
+def _unscented_update(mean, cov, points, zp, z, noise_cov):
+    """Unscented Bayes update of N(mean, cov) against z, given its sigma points
+    and their (2L+1, m) measurements zp; all float arrays. Returns (mean',
+    cov - K S K^T symmetrized with negative eigenvalues clamped, diagnostics)."""
     if zp.shape[1] != z.shape[0]:
         raise InvalidArgumentError("measurement dimension mismatch")
-    z_hat = sp.mean_weights @ zp
+    _scale, wm, wc = _ut_weights(mean.shape[0])
+    z_hat = wm @ zp
     dz = zp - z_hat
-    dx = sp.points - mean
-    wdz = sp.cov_weights[:, None] * dz
+    dx = points - mean
+    wdz = wc[:, None] * dz
     s = dz.T @ wdz + noise_cov
     c_xz = dx.T @ wdz
     diagnostics = {"regularized": False}
@@ -209,9 +188,9 @@ def spbp_update(prior: GaussianBelief, batch: MeasurementBatch) -> GaussianBelie
     mean, cov = build_stacked_prior(prior, batch)
     z = np.array([e.z for e in batch.entries], dtype=float)
     noise = np.diag([e.variance for e in batch.entries])
-    sp = generate_sigma_points(mean, cov)
-    zp = _stacked_ranges(sp.points, prior.dim, batch)
-    post_mean, post_cov, _ = _unscented_update(mean, cov, sp, zp, z, noise)
+    points = generate_sigma_points(mean, cov)
+    zp = _stacked_ranges(points, prior.dim, batch)
+    post_mean, post_cov, _ = _unscented_update(mean, cov, points, zp, z, noise)
     nx = prior.dim
     # _unscented_update returns post_cov symmetrized; so is its own block.
     # The copies keep the belief from holding a view of the stacked arrays.

@@ -16,9 +16,8 @@ from .errors import InvalidArgumentError
 
 STATE_DIM = 6
 
-# Max tolerated asymmetry / negative eigenvalue on covariance matrices.
+# Max tolerated asymmetry on covariance matrices.
 SYM_TOL = 1e-9
-PSD_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -76,12 +75,6 @@ class GaussianBelief:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.covariance)[0])
-
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
 
 
 def anchor_belief(position) -> GaussianBelief:

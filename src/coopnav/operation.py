@@ -5,13 +5,11 @@ The allocation solver works on the continuous relaxation of the integer
 program (minimize the predicted position-covariance trace subject to a
 measurement budget) with spectral (Barzilai-Borwein) projected gradient,
 stopped when the Frank-Wolfe duality gap certifies the relaxed objective to a
-relative PG_GAP_TOL, then rounds. An exact enumeration oracle is provided for
-small instances.
+relative PG_GAP_TOL, then rounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -389,26 +387,3 @@ def cpnp_allocate(problem: AllocationProblem, *, warm_start=None) -> AllocationR
     m = _round_largest_remainder(relaxed, problem.budget)
     m, obj = _greedy_polish(problem, m)
     return AllocationResult(m, obj, relaxed, relaxed_obj, converged, fallback)
-
-
-def brute_force_allocate(problem: AllocationProblem) -> AllocationResult:
-    """Exact argmin over nonnegative integer allocations with sum <= budget.
-
-    Enumeration only; limited to <= 5 links and budget <= 10. Ties broken
-    lexicographically (first enumerated optimum kept).
-    """
-    n = len(problem.links)
-    if n > 5 or problem.budget > 10:
-        raise InvalidArgumentError("brute force limited to <= 5 links and budget <= 10")
-    if n < 1:
-        raise InvalidArgumentError("allocation requires at least one link")
-    best_m = None
-    best_obj = math.inf
-    for combo in itertools.product(range(problem.budget + 1), repeat=n):
-        if sum(combo) > problem.budget:
-            continue
-        obj = float(np.trace(predicted_covariance(problem, np.array(combo, dtype=float))))
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_m = np.array(combo, dtype=int)
-    return AllocationResult(best_m, best_obj)

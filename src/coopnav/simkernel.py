@@ -89,13 +89,6 @@ def _piece_position(piece: tuple, t: float) -> tuple:
     return (p0[0] + frac * delta[0], p0[1] + frac * delta[1], p0[2] + frac * delta[2])
 
 
-def mobility_position(wps: tuple, t: float) -> tuple:
-    """Position (x, y, z) along waypoints ((x, y, z), arrival_s, dwell_s) at
-    time t (clamped at the ends), linear between a waypoint's departure and
-    the next one's arrival."""
-    return _piece_position(_trajectory_piece(wps, t), t)
-
-
 def _dist(a, b) -> float:
     dx = a[0] - b[0]
     dy = a[1] - b[1]
@@ -114,37 +107,9 @@ def hears(a: int, b: int, dist: float, comm_range: float, blocked) -> bool:
     return dist <= comm_range and (not blocked or link_key(a, b) not in blocked)
 
 
-class ChannelState:
-    """Shared-channel bookkeeping for collision arbitration; a frame is its Message."""
-
-    def __init__(self):
-        self.recent: deque[Message] = deque()  # in start order
-
-    def add(self, frame: Message) -> None:
-        self.recent.append(frame)
-
-    def prune(self, now: float, horizon: float) -> None:
-        """Forget the leading frames that ended `horizon` or more before
-        `now`. A horizon of at least the longest airtime keeps every frame
-        that overlaps one still in the air. A frame that has ended but sits
-        behind an earlier, longer frame stays until that frame goes: it
-        overlaps no frame still in the air and no later one either."""
-        recent = self.recent
-        cutoff = now - horizon
-        while recent and recent[0].end <= cutoff:
-            recent.popleft()
-
-    def overlapping(self, frame: Message) -> list[Message]:
-        return [
-            f
-            for f in self.recent
-            if f is not frame and f.start < frame.end and f.end > frame.start
-        ]
-
-
-def arbitrate(channel: ChannelState, frame: Message, receivers, heard,
+def arbitrate(channel: deque, frame: Message, receivers, heard,
               clear=None) -> Mapping:
-    """Per-receiver outcome of a finished frame.
+    """Per-receiver outcome of a finished frame, among the channel's frames.
 
     receivers are the node ids that may receive it, in order (the sender's
     row of the fixed-link table). heard(nid, src, src_pos) is whether node
@@ -158,7 +123,8 @@ def arbitrate(channel: ChannelState, frame: Message, receivers, heard,
     With no overlapping frame the rule reduces to exactly that, and the map
     itself (the same object) is returned, so a caller can tell.
     """
-    overlaps = channel.overlapping(frame)
+    start, end = frame.start, frame.end
+    overlaps = [f for f in channel if f is not frame and f.start < end and f.end > start]
     if clear is not None and not overlaps:
         return clear
     src, src_pos = frame.src, frame.src_pos
@@ -305,7 +271,7 @@ class Simulation:
         self.now = 0.0
         self._seq = itertools.count()
         self._queue: list = []
-        self.channel = ChannelState()
+        self.channel: deque[Message] = deque()  # recent frames, in start order
         self._msg_air = self.par.msg_air_s
         self._channel_horizon = max(self._msg_air, protocol.CHIRP_AIR_S)
         self.records: list[RunRecord] = []
@@ -451,8 +417,8 @@ class Simulation:
         heapq.heappush(self._queue, (t, next(self._seq), fn, args))
 
     def _position(self, node: _Node, t: float) -> tuple:
-        """mobility_position(node.waypoints, t), from the node's cached piece
-        of its trajectory while t stays inside it."""
+        """The node's position at time t along its waypoints, from its cached
+        trajectory piece while t stays inside it."""
         if node.static_pos is not None:
             return node.static_pos
         piece = node.piece
@@ -507,8 +473,10 @@ class Simulation:
         # frame that ended by then overlaps no live or later frame and no sense
         # window: pruning from the front of the start-ordered frames is enough.
         channel = self.channel
-        channel.prune(start, self._channel_horizon)
-        channel.add(msg)
+        cutoff = start - self._channel_horizon
+        while channel and channel[0].end <= cutoff:
+            channel.popleft()
+        channel.append(msg)
         self.counters["transmissions"] += 1
         # sensing nodes that hear the sender find the channel busy, in id order
         sensing = self._sensing
@@ -710,7 +678,7 @@ class Simulation:
         already in the air, else busy at the first frame that it hears
         starting (see `_transmit`), else idle when the window ends."""
         now = self.now
-        for frame in self.channel.recent:  # a frame already in the air
+        for frame in self.channel:  # a frame already in the air
             if frame.src == agent.nid or not frame.start <= now < frame.end:
                 continue
             if self._hears_now(agent.nid, frame.src, frame.src_pos):

@@ -12,22 +12,21 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from coopnav.config import bundled_scenario_path, load_scenario
-from coopnav.harness import compare, position_errors, replicate, rmse
+from coopnav.harness import compare, replicate
 from coopnav.inference import (
     MeasurementBatch,
     MeasurementEntry,
-    sigma_point_update,
     spbp_update,
 )
 from coopnav.model import GaussianBelief, symmetrize
 from coopnav.operation import (
     AllocationProblem,
     LinkInfo,
-    brute_force_allocate,
     cpnp_allocate,
 )
 from coopnav.protocol import ClockModel, SPEED_OF_LIGHT, twr_range
 from coopnav.simkernel import run
+from oracles import brute_force_allocate, is_psd, sigma_point_update
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -64,6 +63,18 @@ def seed_interval(stat, *per_seed, fmt=".1f") -> str:
     idx = np.random.default_rng(BOOTSTRAP_SEED).integers(n, size=(BOOTSTRAP_RESAMPLES, n))
     lo, hi = np.percentile(stat(*(c[idx] for c in cols)), [2.5, 97.5])
     return f"95% CI {lo:{fmt}} to {hi:{fmt}}"
+
+
+def consistency_line(criterion: str, runs: dict) -> None:
+    """Print, ungated, the median MetricReport.consistency (err^2/cov_trace,
+    about 0.79 for a consistent filter) of each run's per-seed SPBP reports,
+    by name, with its seed interval."""
+    parts = []
+    for name, reports in runs.items():
+        values = [r.consistency for r in reports]
+        ci = seed_interval(median, values, fmt=".2f")
+        parts.append(f"{name} {float(median(values)):.2f} ({ci})")
+    print(f"[INFO] {criterion} consistency: {', '.join(parts)}", flush=True)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -182,6 +193,7 @@ def test_04_inference_beats_least_squares():
     reduction = -c.rmse_change_pct
     ci = seed_interval(drop_pct, [r.rmse_m for r in c.baseline_reports],
                        [r.rmse_m for r in c.candidate_reports])
+    consistency_line("criterion-04", {"BP-AL-UN": c.candidate_reports})
     ok = reduction >= 10.0 and elapsed < 120.0
     report(
         "criterion-04 inference vs LS",
@@ -206,6 +218,7 @@ def test_05_cooperation_gain():
     solo_eth = float(np.median([r.e_th_80_m for r in non]))
     improvement = (solo_eth - coop_eth) / solo_eth * 100.0
     ci = seed_interval(drop_pct, [r.e_th_80_m for r in non], [r.e_th_80_m for r in coop])
+    consistency_line("criterion-05", {"cooperative": coop, "solo": non})
     ok = improvement >= 40.0 and elapsed < 120.0
     report(
         "criterion-05 cooperation gain",
@@ -229,6 +242,8 @@ def test_06_activation_saves_measurements():
     ratio_ci = seed_interval(lambda b, x: median(x) / median(b),
                              [r.rmse_m for r in c.baseline_reports],
                              [r.rmse_m for r in c.candidate_reports], fmt=".2f")
+    consistency_line("criterion-06", {"BP-CS-UN": c.baseline_reports,
+                                      "BP-HT-UN": c.candidate_reports})
     ok = rate_reduction >= 30.0 and rmse_ratio <= 1.10 and elapsed < 120.0
     report(
         "criterion-06 threshold activation",
@@ -259,6 +274,7 @@ def test_07_prioritization_prefers_good_links():
     ratio_ci = seed_interval(median, ratios)
     cp_ci = seed_interval(median, [x.rmse_m for x in cp_reports], fmt=".3f")
     un_ci = seed_interval(median, [x.rmse_m for x in un_reports], fmt=".3f")
+    consistency_line("criterion-07", {"CPNP": cp_reports, "uniform": un_reports})
     ok = ratio >= 2.0 and cp_rmse <= un_rmse and elapsed < 60.0
     report(
         "criterion-07 link prioritization",
@@ -278,6 +294,8 @@ def test_08_multi_floor_prioritization():
     improvement = -c.e_th_change_pct
     ci = seed_interval(drop_pct, [r.e_th_80_m for r in c.baseline_reports],
                        [r.e_th_80_m for r in c.candidate_reports])
+    consistency_line("criterion-08", {"BP-HT-UN": c.baseline_reports,
+                                      "BP-HT-CP": c.candidate_reports})
     ok = improvement >= 40.0 and elapsed < 180.0
     report(
         "criterion-08 multi-floor prioritization",
@@ -325,7 +343,7 @@ def test_10_invariants():
             )
             for i in range(n)
         )
-        assert spbp_update(prior, MeasurementBatch(entries)).is_psd()
+        assert is_psd(spbp_update(prior, MeasurementBatch(entries)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -28,16 +28,15 @@ from coopnav.harness import (
     compare,
     evaluate,
     measurement_rate,
-    outage_probability,
     outage_threshold,
     percent_change,
-    position_errors,
     replicate,
     reports_csv,
     rmse,
     summary_json,
 )
 from coopnav.simkernel import RunRecord, RunResult, run
+from oracles import outage_probability, position_errors
 
 
 def make_result(errors, times=None, node_id=10, duration=10.0, n_meas=4):

@@ -22,15 +22,16 @@ from coopnav.inference import (
     LS_TOL,
     _matrix_sqrt,
     _stacked_ranges,
+    _ut_weights,
     MeasurementBatch,
     MeasurementEntry,
     build_stacked_prior,
     generate_sigma_points,
     ls_estimate,
-    sigma_point_update,
     spbp_update,
 )
 from coopnav.model import GaussianBelief, symmetrize
+from oracles import is_psd, sigma_point_update
 from test_model import assert_adopted
 
 
@@ -53,19 +54,21 @@ class TestSigmaPoints:
         rng = np.random.default_rng(0)
         for dim in (1, 2, 3, 6, 9):
             cov = random_spd(rng, dim)
-            sp = generate_sigma_points(np.zeros(dim), cov)
-            assert sp.points.shape == (2 * dim + 1, dim)
-            assert np.isclose(sp.mean_weights.sum(), 1.0)
+            points = generate_sigma_points(np.zeros(dim), cov)
+            _scale, wm, _wc = _ut_weights(dim)
+            assert points.shape == (2 * dim + 1, dim)
+            assert np.isclose(wm.sum(), 1.0)
 
     def test_reconstructs_mean_and_covariance(self):
         rng = np.random.default_rng(1)
         for dim in (2, 3, 6, 9):
             mean = rng.normal(size=dim)
             cov = random_spd(rng, dim)
-            sp = generate_sigma_points(mean, cov)
-            rmean = sp.mean_weights @ sp.points
-            d = sp.points - mean
-            rcov = d.T @ (sp.cov_weights[:, None] * d)
+            points = generate_sigma_points(mean, cov)
+            _scale, wm, wc = _ut_weights(dim)
+            rmean = wm @ points
+            d = points - mean
+            rcov = d.T @ (wc[:, None] * d)
             assert np.allclose(rmean, mean, atol=1e-10)
             assert np.allclose(rcov, cov, atol=1e-8)
 
@@ -74,11 +77,12 @@ class TestSigmaPoints:
         # each outer point weighs 1 / (2 (L + lambda)) and the centre
         # lambda / (L + lambda), with beta = 2 added for the covariance.
         for dim in (1, 3, 6, 9):
-            sp = generate_sigma_points(np.zeros(dim), np.eye(dim))
-            assert np.allclose(sp.mean_weights[1:], 1.0 / 6.0)
-            assert sp.mean_weights[0] == pytest.approx((3.0 - dim) / 3.0)
-            assert sp.cov_weights[0] == pytest.approx((3.0 - dim) / 3.0 + 2.0)
-            assert np.allclose(sp.points[1 : dim + 1], np.sqrt(3.0) * np.eye(dim))
+            points = generate_sigma_points(np.zeros(dim), np.eye(dim))
+            _scale, wm, wc = _ut_weights(dim)
+            assert np.allclose(wm[1:], 1.0 / 6.0)
+            assert wm[0] == pytest.approx((3.0 - dim) / 3.0)
+            assert wc[0] == pytest.approx((3.0 - dim) / 3.0 + 2.0)
+            assert np.allclose(points[1 : dim + 1], np.sqrt(3.0) * np.eye(dim))
 
     @pytest.mark.parametrize("dim", [3, 6, 9, 12])
     def test_cached_weights_match_formula(self, dim):
@@ -89,11 +93,12 @@ class TestSigmaPoints:
         wm[0] = lam / (dim + lam)
         wc[0] = wm[0] + (1.0 - 1.0 * 1.0 + 2.0)
         for _ in range(2):  # computed, then served from the cache
-            sp = generate_sigma_points(np.zeros(dim), np.eye(dim))
-            assert np.array_equal(sp.mean_weights, wm)
-            assert np.array_equal(sp.cov_weights, wc)
+            generate_sigma_points(np.zeros(dim), np.eye(dim))
+            _scale, got_wm, got_wc = _ut_weights(dim)
+            assert np.array_equal(got_wm, wm)
+            assert np.array_equal(got_wc, wc)
             with pytest.raises(ValueError):
-                sp.mean_weights[0] = 0.0
+                got_wm[0] = 0.0
 
     def test_non_psd_raises_with_min_eigenvalue(self):
         cov = np.diag([1.0, -0.5])
@@ -520,4 +525,4 @@ def test_posterior_covariance_psd(n, seed):
     rng = np.random.default_rng(seed)
     prior = GaussianBelief(rng.normal(size=6), random_spd(rng, 6))
     post = spbp_update(prior, random_batch(rng, n, 0.5))
-    assert post.is_psd()
+    assert is_psd(post)

@@ -19,7 +19,6 @@ from coopnav.model import GaussianBelief, MotionModel, symmetrize
 from coopnav.operation import (
     AllocationProblem,
     LinkInfo,
-    brute_force_allocate,
     cpnp_allocate,
     htna_decide,
     info_intensity,
@@ -28,6 +27,7 @@ from coopnav.operation import (
     unit_direction,
 )
 from coopnav.simkernel import run
+from oracles import brute_force_allocate
 
 MOTION = MotionModel(0.06**2, 0.06**2, 0.02**2)
 

@@ -44,16 +44,15 @@ from coopnav.protocol import (
 )
 from coopnav.simkernel import (
     LS_COV,
-    ChannelState,
     RunRecord,
     Simulation,
     arbitrate,
     hears,
     link_key,
-    mobility_position,
     record_row,
     run,
 )
+from oracles import is_psd, mobility_position
 from test_golden import SHORT_RANGE, SHORT_RANGE_M
 
 ANCHORS = (
@@ -200,12 +199,9 @@ class TestArbitrate:
     def arbitrate(frames, links, positions, comm_range=10.0, blocked=frozenset(), clear=None):
         """Outcomes of the first of the (src, start, end, position) frames,
         with all of them on the channel, to the sender's row of `links`."""
-        ch = ChannelState()
         txs = [_tx(*f) for f in frames]
-        for tx in txs:
-            ch.add(tx)
         rule = _table_rule(links, positions, comm_range, blocked)
-        return arbitrate(ch, txs[0], links.get(txs[0].src, {}), rule, clear)
+        return arbitrate(deque(txs), txs[0], links.get(txs[0].src, {}), rule, clear)
 
     def test_delivery_in_range(self):
         out = self.arbitrate([(1, 0.0, 0.001, [0, 0, 0])], _links([1, 2]), {2: (5.0, 0, 0)})
@@ -344,32 +340,57 @@ def _record_sense(sim, calls):
     sim._begin_hold = sim._htna_gate = lambda agent: calls.append(("idle", sim.now))
 
 
-class _EagerChannel(ChannelState):
-    """A channel that forgets every expired frame, wherever it sits."""
+def _eager_prune(sim):
+    """Make sim forget every expired frame, wherever it sits in the channel,
+    before each frame goes on the air; the kernel prunes only from the front."""
+    transmit = sim._transmit
 
-    def prune(self, now, horizon):
-        self.recent = deque(t for t in self.recent if t.end > now - horizon)
+    def eager(node, msg, air):
+        cutoff = sim.now - sim._channel_horizon
+        sim.channel = deque(f for f in sim.channel if f.end > cutoff)
+        transmit(node, msg, air)
+
+    sim._transmit = eager
+
+
+def _on_air(sim, t, into):
+    """Append to `into` the senders of the channel's frames at time t, after
+    the events already queued for t."""
+    sim._schedule(t, lambda: into.append([f.src for f in sim.channel]))
 
 
 class TestChannelState:
-    def test_prune_keeps_recent(self):
-        ch = ChannelState()
-        ch.add(_tx(1, 0.0, 0.001, [0, 0, 0]))
-        ch.add(_tx(2, 1.0, 1.001, [0, 0, 0]))
-        ch.prune(1.0, 0.005)
-        assert [t.src for t in ch.recent] == [2]
-
-    def test_prune_stops_at_first_live_frame(self):
-        ch = ChannelState()
-        ch.add(_tx(1, 0.0, 0.01, [0, 0, 0]))
-        ch.add(_tx(2, 0.0005, 0.0007, [0, 0, 0]))  # ends long before frame 1
-        ch.prune(0.012, 0.01)
-        assert [t.src for t in ch.recent] == [1, 2]
-        ch.prune(0.0201, 0.01)
-        assert not ch.recent
+    """`_transmit` prunes the channel, the simulation's deque of frames in
+    start order, from its front, with a horizon of the longest airtime: here
+    `msg_air_s`, longer than a chirp's."""
 
     @staticmethod
-    def run_frames(channel):
+    def sim(horizon, frames):
+        par = dataclasses.replace(Parameters(), msg_air_s=horizon)
+        sim = _frames_only(small_scenario(parameters=par), frames)
+        assert sim._channel_horizon == horizon
+        return sim
+
+    def test_prune_keeps_recent(self):
+        sim = self.sim(0.005, ((0.0, 1, 0.001), (1.0, 2, 0.001)))
+        on_air = []
+        _on_air(sim, 1.0, on_air)
+        sim.run()
+        assert on_air == [[2]]
+
+    def test_prune_stops_at_first_live_frame(self):
+        # Frame 2 ends long before frame 1. Frame 3 prunes at 0.012 and
+        # frame 4 at 0.0201, each before it goes on the air.
+        frames = ((0.0, 1, 0.01), (0.0005, 2, 0.0002), (0.012, 3, 0.0002), (0.0201, 4, 0.0002))
+        sim = self.sim(0.01, frames)
+        on_air = []
+        _on_air(sim, 0.012, on_air)
+        _on_air(sim, 0.0201, on_air)
+        sim.run()
+        assert on_air == [[1, 2, 3], [3, 4]]  # at 0.0201 frames 1 and 2 are both gone
+
+    @staticmethod
+    def run_frames(eager):
         """Anchor 1 sends a 10 ms frame at 0 and anchor 2 a chirp inside it;
         anchors 3 and 4 send overlapping chirps once that chirp has expired
         but frame 1 has not, and anchor 2 chirps again once both have.
@@ -381,19 +402,20 @@ class TestChannelState:
         frames = ((0.0, 1, par.msg_air_s), (0.0005, 2, a), (0.0115, 3, a),
                   (0.0116, 4, a), (0.0205, 2, a))
         sim = _frames_only(small_scenario(parameters=par), frames, collect_trace=True)
-        sim.channel = channel
+        if eager:
+            _eager_prune(sim)
         calls, on_air = [], []
         _record_sense(sim, calls)
         for start, window in ((0.0112, 0.002), (0.018, 0.001)):
             sim._schedule(start, sim._start_sense, sim.nodes[10], window)
-        sim._schedule(0.01165, lambda: on_air.extend(t.src for t in sim.channel.recent))
+        _on_air(sim, 0.01165, on_air)
         return sim.run().trace, calls, on_air
 
     def test_ended_chirp_behind_long_frame_changes_no_outcome(self):
-        trace, calls, on_air = self.run_frames(ChannelState())
-        eager_trace, eager_calls, eager_on_air = self.run_frames(_EagerChannel())
-        assert on_air == [1, 2, 3, 4]  # the ended chirp waits behind frame 1
-        assert eager_on_air == [1, 3, 4]
+        trace, calls, on_air = self.run_frames(eager=False)
+        eager_trace, eager_calls, eager_on_air = self.run_frames(eager=True)
+        assert on_air == [[1, 2, 3, 4]]  # the ended chirp waits behind frame 1
+        assert eager_on_air == [[1, 3, 4]]
         assert trace == eager_trace
         assert calls == eager_calls == [("busy", 0.0115), ("idle", 0.019)]
         outcomes = {(src, outcome) for _t, _k, src, _d, outcome in trace}
@@ -748,10 +770,15 @@ class _CheckedSim(Simulation):
     rule: a stored session that awaits nothing is a responder's whose last
     sent message is its report, still to go out. Checks that every message
     goes on the air once: a frame's times live on its message, so a message
-    sent again would rewrite a frame still in the channel."""
+    sent again would rewrite a frame still in the channel. At each frame's
+    end, checks that the frames the channel holds as overlapping it, which
+    `arbitrate` reads, are all those among every frame of the run: the
+    kernel's front-only prune drops none that counts."""
 
     def __init__(self, *args, **kw):
         self.epochs = {}
+        self.sent = []  # every frame of the run, in start order
+        self.max_air = 0.0
         super().__init__(*args, **kw)
 
     def _epoch(self, agent):
@@ -768,6 +795,22 @@ class _CheckedSim(Simulation):
     def _transmit(self, node, msg, air):
         assert msg.start is None and msg.tx_ts is None, (node.nid, msg.kind, msg.start)
         super()._transmit(node, msg, air)
+        self.sent.append(msg)
+        self.max_air = max(self.max_air, air)
+
+    def _tx_end(self, msg):
+        def overlaps(f):
+            return f is not msg and f.start < msg.end and f.end > msg.start
+
+        want = []
+        for f in reversed(self.sent):
+            if f.start + self.max_air <= msg.start:
+                break  # f, and every frame sent before it, ended by msg's start
+            if overlaps(f):
+                want.append(f)
+        seen = [f for f in self.channel if overlaps(f)]
+        assert list(map(id, seen)) == list(map(id, reversed(want))), (msg.src, msg.start)
+        super()._tx_end(msg)
 
     def _receive(self, node, *args):
         super()._receive(node, *args)
@@ -803,10 +846,17 @@ class TestKernelEdgeCases:
         assert per_agent == sim.epochs
         assert sum(result.link_counts.values()) == result.total_measurements()
         for node in sim.nodes.values():
-            assert node.belief.is_psd()
+            assert is_psd(node.belief)
         if sim.scenario.algorithms.inference == "SPBP":
             assert all(r.cov_trace >= 0 for r in result.records)
         return result
+
+    @pytest.mark.parametrize("name,acronym", sorted(SHORT_RANGE))
+    def test_short_range(self, name, acronym):
+        # The 9 m variants of the golden runs, where receptions, interferers
+        # and carrier senses fall out of range.
+        scen = dataclasses.replace(load_scenario(bundled_scenario_path(name)), duration_s=5.0)
+        assert self.run_checked(_short_range(scen), acronym).counters["out-of-range"] > 0
 
     @pytest.mark.parametrize("acronym", sorted(ACRONYMS))
     def test_agent_that_hears_no_one(self, acronym):
@@ -1026,14 +1076,11 @@ class TestClearFanOut:
             assert fan.collided == 0
             TestClearFanOut.assert_settles(fan, want, nodes)
             lone = _tx(src, 0.0, 0.001, pos[src])
-            ch = ChannelState()
-            ch.add(lone)
+            ch = deque([lone])
             assert arbitrate(ch, lone, row, rule, fan.outcomes) is fan.outcomes
             assert arbitrate(ch, lone, row, rule) == want
             for o in row:  # one overlapping frame from each other node
-                ch = ChannelState()
-                ch.add(lone)
-                ch.add(_tx(o, 0.0005, 0.0015, pos[o]))
+                ch = deque([lone, _tx(o, 0.0005, 0.0015, pos[o])])
                 out = arbitrate(ch, lone, row, rule, fan.outcomes)
                 assert out is not fan.outcomes
                 contested = {
