@@ -9,6 +9,7 @@ convergence transient.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -125,11 +126,6 @@ def evaluate(result: RunResult, node_id: int | None = None,
     )
 
 
-def _run_one(args) -> RunResult:
-    scenario, seed = args
-    return run(scenario, seed=seed)
-
-
 def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
               workers: int | None = None):
     """Run the scenario once per seed and evaluate each run, scored from the
@@ -154,7 +150,7 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
 
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            results = list(pool.map(_run_one, [(scenario, s) for s in seeds]))
+            results = list(pool.map(run, itertools.repeat(scenario), seeds))
     else:
         results = [run(scenario, seed=s) for s in seeds]
     reports = [evaluate(r, node_id=node_id, burn_in_s=burn) for r in results]

@@ -43,12 +43,14 @@ class MeasurementEntry:
     c_p: np.ndarray  # (3, 3)
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise InvalidArgumentError("measurement variance must be > 0")
+        if not (math.isfinite(self.z) and 0 < self.variance < math.inf):
+            raise InvalidArgumentError("range must be finite, its variance finite and > 0")
         object.__setattr__(self, "mu_p", np.asarray(self.mu_p, dtype=float))
         object.__setattr__(self, "c_p", np.asarray(self.c_p, dtype=float))
         if self.mu_p.shape != (3,) or self.c_p.shape != (3, 3):
             raise InvalidArgumentError("neighbor belief must be 3-D position mean/cov")
+        if not all(map(math.isfinite, self.mu_p.tolist() + self.c_p.ravel().tolist())):
+            raise InvalidArgumentError("neighbor belief must be finite")
 
 
 @dataclass(frozen=True)

@@ -104,33 +104,21 @@ class AllocationProblem:
         # information below stays valid.
         object.__setattr__(self, "c_pj", _lock(symmetrize(c)))
         object.__setattr__(self, "links", links)
+        # Read-only per-link constants in link order, for every allocation
+        # objective. rho = xi u^T C_pk u is the directional neighbor uncertainty
+        # scaled by channel quality; exactly 0 for an anchor (C_pk = 0), where
+        # the product gives +-0 and every use (1 + m rho) the same value.
+        us = _lock(np.array([l.u for l in links], dtype=float).reshape(-1, 3))
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "uus", _lock(us[:, :, None] * us[:, None, :]))
+        object.__setattr__(self, "xis", _readonly([l.xi for l in links]))
+        object.__setattr__(self, "rhos", _readonly(
+            [l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0 for l in links]))
 
     @cached_property
     def prior_information(self) -> np.ndarray:
         """C_pj^-1, regularized if C_pj is singular but nonzero."""
         return _lock(_inverse_prior(self.c_pj))
-
-    # Per-link constants in link order, used by every allocation objective.
-    @cached_property
-    def xis(self) -> np.ndarray:
-        return _readonly([l.xi for l in self.links])
-
-    @cached_property
-    def rhos(self) -> np.ndarray:
-        """rho = xi u^T C_pk u, the directional neighbor uncertainty scaled by
-        channel quality. Exactly 0 for anchors (C_pk = 0), where the product
-        gives +-0 and every use (1 + m rho) the same value."""
-        return _readonly([l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0
-                          for l in self.links])
-
-    @cached_property
-    def us(self) -> np.ndarray:
-        return _lock(np.array([l.u for l in self.links], dtype=float).reshape(-1, 3))
-
-    @cached_property
-    def uus(self) -> np.ndarray:
-        """The outer products u u^T, (n, 3, 3)."""
-        return _lock(self.us[:, :, None] * self.us[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -204,8 +192,6 @@ def trace_increase(covariances, model: MotionModel, dt: float) -> float:
     Sums tr of the upper-left 3x3 block of A C A^T + Cw - C over the supplied
     (non-anchor) member covariances. Negative per-member terms are kept as-is.
     """
-    if dt < 0:
-        raise InvalidArgumentError("dt must be >= 0")
     a, cw = motion_matrices(model, dt)
     total = 0.0
     for c in covariances:
@@ -255,13 +241,9 @@ def _objective_and_gradient(problem: AllocationProblem, m: np.ndarray):
     return float(c.trace()), -dci * np.vecdot(cu, cu)
 
 
-def _pg_solve(problem: AllocationProblem, warm_start):
-    n = len(problem.links)
+def _pg_solve(problem: AllocationProblem, m: np.ndarray):
+    """The relaxation solved from the feasible start m: (m, objective, converged)."""
     budget = float(problem.budget)
-    if warm_start is not None and warm_start.shape == (n,):
-        m = _project_capped_simplex(np.asarray(warm_start, dtype=float), budget)
-    else:
-        m = np.full(n, budget / n)
     obj, grad = _objective_and_gradient(problem, m)
     # Every gradient entry is <= 0. The first step moves the steepest count
     # by the whole budget, whatever the scale of the covariances.
@@ -309,10 +291,6 @@ def _round_largest_remainder(m: np.ndarray, budget: int) -> np.ndarray:
     return base
 
 
-def _traces(problem: AllocationProblem, stack: np.ndarray) -> np.ndarray:
-    return np.trace(predicted_covariance(problem, stack), axis1=1, axis2=2)
-
-
 def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
     """Improve m by single-unit moves; returns (m, its objective).
 
@@ -325,7 +303,8 @@ def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
     # Fill any remaining budget with the best single units.
     while m.sum() < problem.budget:
         best, best_obj = None, current
-        for i, o in enumerate(_traces(problem, m + np.eye(n, dtype=m.dtype)).tolist()):
+        objs = predicted_covariance(problem, m + np.eye(n, dtype=m.dtype)).trace(axis1=1, axis2=2)
+        for i, o in enumerate(objs.tolist()):
             if o < best_obj - 1e-15:
                 best, best_obj = i, o
         if best is None:
@@ -347,7 +326,7 @@ def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
             cand = np.repeat(m[None], pairs.size, axis=0)
             cand[rows, src[pairs]] -= 1
             cand[rows, dst[pairs]] += 1
-            objs = _traces(problem, cand)
+            objs = predicted_covariance(problem, cand).trace(axis1=1, axis2=2)
             better = np.flatnonzero(objs < current - 1e-15)
             if not better.size:
                 break
@@ -362,21 +341,26 @@ def _greedy_polish(problem: AllocationProblem, m: np.ndarray):
 def cpnp_allocate(problem: AllocationProblem, *, warm_start=None) -> AllocationResult:
     """Measurement-count allocation minimizing the predicted covariance trace.
 
-    Solves the continuous relaxation by spectral projected gradient (from
-    `warm_start`, one value per link, if given) until its duality gap is within
-    PG_GAP_TOL of the relaxed objective, rounds by largest remainder under the
-    budget, then applies a greedy single-unit improvement pass. Falls back to
-    uniform allocation if the relaxation does not converge in PG_MAX_ITERS
-    iterations.
+    Solves the continuous relaxation by spectral projected gradient until its
+    duality gap is within PG_GAP_TOL of the relaxed objective, from budget / n
+    per link or from `warm_start` (n finite values, else InvalidArgumentError)
+    projected onto the capped simplex; rounds by largest remainder under the
+    budget and polishes by greedy single-unit moves. Falls back to uniform
+    allocation if the relaxation does not converge in PG_MAX_ITERS iterations.
     """
     n = len(problem.links)
     if n < 1:
         raise InvalidArgumentError("allocation requires at least one link")
+    start = None if warm_start is None else np.asarray(warm_start, dtype=float)
+    if start is not None and (start.shape != (n,) or not np.isfinite(start).all()):
+        raise InvalidArgumentError("warm start must be n finite values, one per link")
     if problem.budget == 0:
         zero = np.zeros(n, dtype=int)
         obj = float(np.trace(predicted_covariance(problem, zero)))
         return AllocationResult(zero, obj, zero.astype(float), obj, True, False)
-    relaxed, relaxed_obj, converged = _pg_solve(problem, warm_start)
+    start = (np.full(n, float(problem.budget) / n) if start is None
+             else _project_capped_simplex(start, float(problem.budget)))
+    relaxed, relaxed_obj, converged = _pg_solve(problem, start)
     fallback = False
     if not converged or not np.isfinite(relaxed).all():
         per = problem.budget // n

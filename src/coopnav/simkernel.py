@@ -264,7 +264,6 @@ class Simulation:
         self.scenario = scenario
         self.seed = scenario.seed
         self.par = scenario.parameters
-        self.collect_trace = collect_trace
         self.rng = np.random.default_rng(self.seed)
         self.motion = MotionModel(SIGMA_X2, SIGMA_Y2, SIGMA_Z2)
         self.duration = scenario.duration_s
@@ -612,7 +611,6 @@ class Simulation:
         agent.epoch_t0 = t0
         agent.csma_attempt = 0
         agent.collected = {}
-        agent.exchange_queue = deque()
         if self.scenario.algorithms.inference == "SPBP":
             agent.belief = predict_belief(agent.belief, self.motion, dt)
         protocol.purge_neighbors(agent.table, t0, protocol.NEIGHBOR_EXPIRY_S)

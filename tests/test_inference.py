@@ -186,6 +186,38 @@ def random_batch(rng, n, p_uncertain):
     return MeasurementBatch(tuple(entries))
 
 
+class TestMeasurementEntry:
+    """An entry rejects every input that the update or LS would turn into NaN
+    or a numpy error: a range that is not finite, a variance that is not
+    finite and > 0, and a neighbor belief that is not finite."""
+
+    GOOD = {"z": 5.0, "variance": 0.01, "mu_p": np.array([3.0, 0.0, 0.0]),
+            "c_p": 0.1 * np.eye(3)}
+
+    @pytest.mark.parametrize("bad", [
+        {"z": math.nan},
+        {"z": math.inf},
+        {"z": -math.inf},
+        {"variance": math.nan},
+        {"variance": math.inf},
+        {"variance": 0.0},
+        {"variance": -0.01},
+        {"mu_p": np.array([3.0, math.nan, 0.0])},
+        {"mu_p": np.array([3.0, 0.0, math.inf])},
+        {"c_p": np.diag([0.1, math.nan, 0.1])},
+        {"c_p": np.diag([0.1, 0.1, -math.inf])},
+        {"mu_p": np.zeros(2)},
+        {"c_p": np.eye(2)},
+    ], ids=lambda bad: "-".join(f"{k}={np.asarray(v).tolist()}" for k, v in bad.items()))
+    def test_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            MeasurementEntry(1, **{**self.GOOD, **bad})
+
+    def test_accepts_finite_input(self):
+        e = MeasurementEntry(1, **self.GOOD)
+        assert e.z == 5.0 and np.array_equal(e.c_p, 0.1 * np.eye(3))
+
+
 class TestSpbpUpdate:
     def test_batched_range_map_matches_norm_bit_for_bit(self):
         # Known neighbors enter as their constant mu_p, uncertain ones as the
@@ -313,10 +345,8 @@ class TestSpbpUpdate:
             assert_adopted(spbp_update(prior, batch))
 
     def test_nan_range_rejected(self):
-        prior = GaussianBelief(np.zeros(6), np.eye(6))
-        e = MeasurementEntry(1, math.nan, 0.01, np.array([3.0, 0.0, 0.0]), np.zeros((3, 3)))
         with pytest.raises(InvalidArgumentError, match="finite"):
-            spbp_update(prior, MeasurementBatch((e,)))
+            MeasurementEntry(1, math.nan, 0.01, np.array([3.0, 0.0, 0.0]), np.zeros((3, 3)))
 
     def test_duplicate_neighbors_rejected(self):
         e = MeasurementEntry(1, 5.0, 0.01, np.zeros(3), np.zeros((3, 3)))

@@ -368,6 +368,10 @@ class TestPredictedCovariance:
 
 
 class TestTraceIncrease:
+    def test_negative_dt_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            trace_increase([np.eye(6)], MOTION, -0.1)
+
     def test_zero_dt_zero_growth(self):
         rng = np.random.default_rng(12)
         covs = [np.diag([1.0, 1, 1, 0.1, 0.1, 0.1])]
@@ -527,6 +531,38 @@ class TestAllocation:
         cold = cpnp_allocate(problem)
         warm = cpnp_allocate(problem, warm_start=np.asarray(cold.relaxed_m))
         assert warm.objective <= cold.objective + 1e-9
+
+    def test_warm_start_list_matches_array(self):
+        # Any array-like of n finite values is a warm start, with the bits
+        # of the equal float array.
+        rng = np.random.default_rng(18)
+        problem = AllocationProblem(random_cov(rng), random_links(rng, 4), 10)
+        for warm in ([3.0, 0.5, 4.0, 2.5], (3, 0, 4, 2), [0.0, 0.0, 0.0, 20.0]):
+            got = cpnp_allocate(problem, warm_start=warm)
+            want = cpnp_allocate(problem, warm_start=np.array(warm, dtype=float))
+            for f in dataclasses.fields(got):
+                x, y = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                else:
+                    assert type(x) is type(y) and x == y
+
+    @pytest.mark.parametrize("budget", [0, 10])
+    @pytest.mark.parametrize("warm", [
+        [1.0, np.nan, 2.0, 3.0],
+        [1.0, np.inf, 2.0, 3.0],
+        [1.0, -np.inf, 2.0, 3.0],
+        [1.0, 2.0, 3.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [[1.0, 2.0, 3.0, 4.0]],
+        [[1.0], [2.0], [3.0], [4.0]],
+    ], ids=["nan", "inf", "-inf", "short", "long", "row", "column"])
+    def test_malformed_warm_start_rejected(self, warm, budget):
+        # Checked before the budget-0 return, so every budget rejects it.
+        rng = np.random.default_rng(18)
+        problem = AllocationProblem(random_cov(rng), random_links(rng, 4), budget)
+        with pytest.raises(InvalidArgumentError):
+            cpnp_allocate(problem, warm_start=np.array(warm))
 
     def test_matches_scalar_solver_bit_for_bit(self):
         # Seeded random problems: anchor and agent links, budgets from 0,
