@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EstimationFailureError, InvalidArgumentError, NumericFailureError
-from .model import GaussianBelief, symmetrize
+from .model import GaussianBelief, finite_array, frozen, symmetrize
 
 
 # Scaled unscented transform: alpha = 1, beta = 2 and kappa = 3 - L, so the
@@ -45,12 +45,8 @@ class MeasurementEntry:
     def __post_init__(self):
         if not (math.isfinite(self.z) and 0 < self.variance < math.inf):
             raise InvalidArgumentError("range must be finite, its variance finite and > 0")
-        object.__setattr__(self, "mu_p", np.asarray(self.mu_p, dtype=float))
-        object.__setattr__(self, "c_p", np.asarray(self.c_p, dtype=float))
-        if self.mu_p.shape != (3,) or self.c_p.shape != (3, 3):
-            raise InvalidArgumentError("neighbor belief must be 3-D position mean/cov")
-        if not all(map(math.isfinite, self.mu_p.tolist() + self.c_p.ravel().tolist())):
-            raise InvalidArgumentError("neighbor belief must be finite")
+        object.__setattr__(self, "mu_p", finite_array(self.mu_p, (3,), "neighbor mean"))
+        object.__setattr__(self, "c_p", finite_array(self.c_p, (3, 3), "neighbor covariance"))
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,7 @@ def _ut_weights(dim: int) -> tuple[float, np.ndarray, np.ndarray]:
     wc = wm.copy()
     wm[0] = lam / (dim + lam)
     wc[0] = wm[0] + (1.0 - UT_ALPHA * UT_ALPHA + UT_BETA)
-    wm.setflags(write=False)
-    wc.setflags(write=False)
-    return dim + lam, wm, wc
+    return dim + lam, frozen(wm), frozen(wc)
 
 
 def generate_sigma_points(mean, cov) -> np.ndarray:

@@ -17,25 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidArgumentError, NumericFailureError
-from .model import MotionModel, _readonly, motion_matrices, symmetrize
-
-
-def _lock(a: np.ndarray) -> np.ndarray:
-    """Make a new array read-only in place and return it."""
-    a.setflags(write=False)
-    return a
+from .model import MotionModel, finite_array, frozen, motion_matrices, symmetrize
 
 
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)); calling the
     # dot directly skips the generic dispatch and gives the same value.
     return math.sqrt(v.dot(v))
-
-
-def _finite_3x3(c: np.ndarray) -> bool:
-    """Whether c is a finite 3x3 matrix. math.isfinite over its entries takes
-    a third of the time of np.isfinite(c).all()."""
-    return c.shape == (3, 3) and all(map(math.isfinite, c.ravel().tolist()))
 
 
 def unit_direction(mu_j, mu_k) -> np.ndarray:
@@ -59,16 +47,13 @@ class LinkInfo:
     def __post_init__(self):
         # Read-only copies, so the constants an AllocationProblem derives
         # from them stay valid.
-        u = _readonly(self.u)
-        c = _readonly(self.c_pk)
-        if u.shape != (3,) or not abs(_norm(u) - 1.0) <= 1e-9:  # NaN fails
+        u = finite_array(self.u, (3,), "direction vector")
+        if not abs(_norm(u) - 1.0) <= 1e-9:
             raise InvalidArgumentError("direction vector must be a unit 3-vector")
         if not 0 <= self.xi < math.inf:
             raise InvalidArgumentError("ranging coefficient must be finite and >= 0")
-        if not _finite_3x3(c):
-            raise InvalidArgumentError("neighbor position covariance must be finite 3x3")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "c_pk", c)
+        object.__setattr__(self, "c_pk", finite_array(self.c_pk, (3, 3), "neighbor covariance"))
 
 
 def info_intensity(m, xi, rho):
@@ -90,9 +75,7 @@ class AllocationProblem:
     budget: int
 
     def __post_init__(self):
-        c = np.asarray(self.c_pj, dtype=float)
-        if not _finite_3x3(c):
-            raise InvalidArgumentError("own position covariance must be finite 3x3")
+        c = finite_array(self.c_pj, (3, 3), "own position covariance")
         b = self.budget
         if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 0:
             raise InvalidArgumentError("budget must be an integer >= 0")
@@ -100,25 +83,24 @@ class AllocationProblem:
         ids = [l.neighbor for l in links]
         if len(set(ids)) != len(ids):
             raise InvalidArgumentError("links must address distinct neighbors")
-        # Read-only (symmetrize makes a new array), so the cached prior
-        # information below stays valid.
-        object.__setattr__(self, "c_pj", _lock(symmetrize(c)))
+        # Read-only, so the cached prior information below stays valid.
+        object.__setattr__(self, "c_pj", frozen(symmetrize(c)))
         object.__setattr__(self, "links", links)
         # Read-only per-link constants in link order, for every allocation
         # objective. rho = xi u^T C_pk u is the directional neighbor uncertainty
         # scaled by channel quality; exactly 0 for an anchor (C_pk = 0), where
         # the product gives +-0 and every use (1 + m rho) the same value.
-        us = _lock(np.array([l.u for l in links], dtype=float).reshape(-1, 3))
+        us = frozen(np.array([l.u for l in links], dtype=float).reshape(-1, 3))
         object.__setattr__(self, "us", us)
-        object.__setattr__(self, "uus", _lock(us[:, :, None] * us[:, None, :]))
-        object.__setattr__(self, "xis", _readonly([l.xi for l in links]))
-        object.__setattr__(self, "rhos", _readonly(
-            [l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0 for l in links]))
+        object.__setattr__(self, "uus", frozen(us[:, :, None] * us[:, None, :]))
+        object.__setattr__(self, "xis", frozen(np.array([l.xi for l in links], dtype=float)))
+        object.__setattr__(self, "rhos", frozen(np.array(
+            [l.xi * l.u @ l.c_pk @ l.u if np.count_nonzero(l.c_pk) else 0.0 for l in links])))
 
     @cached_property
     def prior_information(self) -> np.ndarray:
         """C_pj^-1, regularized if C_pj is singular but nonzero."""
-        return _lock(_inverse_prior(self.c_pj))
+        return frozen(_inverse_prior(self.c_pj))
 
 
 @dataclass(frozen=True)
@@ -351,9 +333,7 @@ def cpnp_allocate(problem: AllocationProblem, *, warm_start=None) -> AllocationR
     n = len(problem.links)
     if n < 1:
         raise InvalidArgumentError("allocation requires at least one link")
-    start = None if warm_start is None else np.asarray(warm_start, dtype=float)
-    if start is not None and (start.shape != (n,) or not np.isfinite(start).all()):
-        raise InvalidArgumentError("warm start must be n finite values, one per link")
+    start = None if warm_start is None else finite_array(warm_start, (n,), "warm start")
     if problem.budget == 0:
         zero = np.zeros(n, dtype=int)
         obj = float(np.trace(predicted_covariance(problem, zero)))

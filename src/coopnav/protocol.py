@@ -29,6 +29,7 @@ time (I's t1, R's t3) from the last message its session sent.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, RangingError
@@ -208,8 +209,9 @@ class ClockModel:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
-        if abs(self.drift_ppm) > MAX_CLOCK_DRIFT_PPM:
-            raise InvalidArgumentError(f"clock drift limited to {MAX_CLOCK_DRIFT_PPM:g} ppm")
+        if not (math.isfinite(self.offset) and abs(self.drift_ppm) <= MAX_CLOCK_DRIFT_PPM):
+            raise InvalidArgumentError(
+                f"clock offset must be finite, its drift within {MAX_CLOCK_DRIFT_PPM:g} ppm")
 
     def ticks(self, t: float) -> float:
         return (t * (1.0 + self.drift_ppm * 1e-6) + self.offset) / DEFAULT_TICK_S

@@ -25,6 +25,7 @@ from .model import (
     GaussianBelief,
     MotionModel,
     anchor_belief,
+    frozen,
     measurement_variance,
     predict_belief,
 )
@@ -222,8 +223,7 @@ class RunResult:
 
 # An LS agent's belief: its position estimate, shared with unit position
 # covariance, since the LS baseline tracks no uncertainty.
-LS_COV = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-LS_COV.setflags(write=False)
+LS_COV = frozen(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
 
 
 class _Node:

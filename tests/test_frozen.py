@@ -1,0 +1,44 @@
+"""Tests that the package marks arrays read-only in one place: every
+`.setflags(` call in src/coopnav sits inside `model.frozen`."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coopnav"
+
+
+def setflags_calls(source: str) -> list:
+    """(line, scope) of every `.setflags(` call in the module, its scope the
+    dotted names of the classes and functions that hold it ('' at module
+    level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "setflags"):
+                found.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_finds_setflags_calls():
+    source = ("A.setflags(write=False)\n"
+              "class C:\n"
+              "    def f(self, b):\n"
+              "        g(b.setflags(write=False))\n")
+    assert setflags_calls(source) == [(1, ""), (4, "C.f")]
+
+
+def test_setflags_only_in_model_frozen():
+    calls = [(path.name, line, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for line, scope in setflags_calls(path.read_text())]
+    outside = [f"{name}:{line}: {scope or '<module>'}" for name, line, scope in calls
+               if (name, scope) != ("model.py", "frozen")]
+    assert not outside, "setflags outside model.frozen:\n" + "\n".join(outside)
+    assert [(name, scope) for name, _, scope in calls].count(("model.py", "frozen")) == 1

@@ -208,6 +208,9 @@ class TestMeasurementEntry:
         {"c_p": np.diag([0.1, 0.1, -math.inf])},
         {"mu_p": np.zeros(2)},
         {"c_p": np.eye(2)},
+        *({k: "abc"} for k in ("mu_p", "c_p")),
+        *(pytest.param({k: [[1.0, 0.0], [0.0]]}, id=f"{k}=ragged") for k in ("mu_p", "c_p")),
+        *({k: {"x": 1.0}} for k in ("mu_p", "c_p")),
     ], ids=lambda bad: "-".join(f"{k}={np.asarray(v).tolist()}" for k, v in bad.items()))
     def test_rejected(self, bad):
         with pytest.raises(InvalidArgumentError):

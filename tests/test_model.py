@@ -83,6 +83,15 @@ class TestGaussianBelief:
         with pytest.raises(InvalidArgumentError, match="finite"):
             GaussianBelief(np.array([0.0, np.nan, 0, 0, 0, 0]), np.eye(STATE_DIM))
 
+    @pytest.mark.parametrize("bad", ["abc", [[1.0, 0.0], [0.0]], {"x": 1.0}],
+                             ids=["string", "ragged", "dict"])
+    def test_unconvertible_input_rejected(self, bad):
+        # Input numpy cannot convert to a float array is an InvalidArgumentError too.
+        with pytest.raises(InvalidArgumentError, match="belief mean"):
+            GaussianBelief(bad, np.eye(STATE_DIM))
+        with pytest.raises(InvalidArgumentError, match="belief covariance"):
+            GaussianBelief(np.zeros(STATE_DIM), bad)
+
     def test_psd_check(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
         b = GaussianBelief(np.zeros(STATE_DIM), cov)
@@ -117,8 +126,13 @@ class TestMotion:
         assert np.allclose(cw, 0.0)
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            motion_matrices(DEFAULT_MOTION, -0.1)
+        # So are a dt and driving-noise variances that are NaN or infinite.
+        for dt in (-0.1, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                motion_matrices(DEFAULT_MOTION, dt)
+        for sig in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                MotionModel(sig, 0.0, 0.0)
 
     @given(st.floats(0.0, 5.0, allow_nan=False),
            st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=3, max_size=3))
@@ -201,8 +215,9 @@ class TestMeasurement:
     def test_variance_rejects_bad_inputs(self):
         with pytest.raises(InvalidArgumentError):
             measurement_variance(0, 100.0)
-        with pytest.raises(InvalidArgumentError):
-            measurement_variance(4, 0.0)
+        for xi in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                measurement_variance(4, xi)
 
     def test_erc_bounds(self):
         assert ERC_MIN == 16.0

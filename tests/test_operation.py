@@ -157,7 +157,7 @@ class TestDirections:
 def _allocate(u=(1.0, 0.0, 0.0), xi=50.0, c_pk=np.zeros((3, 3)), c_pj=np.eye(3), budget=4):
     """cpnp_allocate of a two-link problem, its first link built from these
     inputs and its second an anchor along y."""
-    links = (LinkInfo(0, np.asarray(u, dtype=float), xi, c_pk),
+    links = (LinkInfo(0, u, xi, c_pk),
              LinkInfo(1, np.array([0.0, 1.0, 0.0]), 50.0, np.zeros((3, 3))))
     return cpnp_allocate(AllocationProblem(c_pj, links, budget))
 
@@ -182,6 +182,10 @@ class TestMalformedInputs:
         {"c_pj": np.ones(3)},
         {"budget": 2.5},
         {"budget": True},
+        *({k: "abc"} for k in ("u", "c_pk", "c_pj")),
+        *(pytest.param({k: [[1.0, 0.0], [0.0]]}, id=f"{k}=ragged")
+          for k in ("u", "c_pk", "c_pj")),
+        *({k: {"x": 1.0}} for k in ("u", "c_pk", "c_pj")),
     ], ids=lambda bad: "-".join(f"{k}={np.asarray(v).tolist()}" for k, v in bad.items()))
     def test_rejected(self, bad):
         with pytest.raises(InvalidArgumentError):
@@ -556,7 +560,10 @@ class TestAllocation:
         [1.0, 2.0, 3.0, 4.0, 5.0],
         [[1.0, 2.0, 3.0, 4.0]],
         [[1.0], [2.0], [3.0], [4.0]],
-    ], ids=["nan", "inf", "-inf", "short", "long", "row", "column"])
+        "abcd",
+        np.array([[1.0, 2.0], [3.0, 4.0, 5.0]], dtype=object),  # ragged
+        {"a": 1.0},
+    ], ids=["nan", "inf", "-inf", "short", "long", "row", "column", "string", "ragged", "dict"])
     def test_malformed_warm_start_rejected(self, warm, budget):
         # Checked before the budget-0 return, so every budget rejects it.
         rng = np.random.default_rng(18)

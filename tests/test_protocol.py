@@ -93,8 +93,10 @@ class TestClockModel:
         assert clk.ticks(DEFAULT_TICK_S) == pytest.approx(1.0)
 
     def test_drift_limit(self):
-        with pytest.raises(InvalidArgumentError):
-            ClockModel(drift_ppm=150.0)
+        # A NaN drift and a NaN or infinite offset are rejected too.
+        for offset, drift in ((0.0, 150.0), (0.0, math.nan), (math.inf, 0.0), (math.nan, 0.0)):
+            with pytest.raises(InvalidArgumentError):
+                ClockModel(offset, drift)
 
 
 def run_exchange(distance_m=6.0, tamper=None):
