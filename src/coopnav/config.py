@@ -10,13 +10,13 @@ rejects unknown keys and names the offending field by its path in the file.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import NONNEGATIVE, POSITIVE, finite_number
 from .protocol import MAX_CLOCK_DRIFT_PPM
 
 INFERENCE_KINDS = ("LS", "SPBP")
@@ -33,25 +33,24 @@ ACRONYMS = {
 }
 
 
-# Rules on numbers: (predicate, what the number must be).
-_NONNEGATIVE = (lambda x: x >= 0, ">= 0")
-_POSITIVE = (lambda x: x > 0, "> 0")
+# Numbers follow the package's one rule, raising ConfigError naming the field.
+_number = partial(finite_number, error=ConfigError)
 
 # The rule of every numeric parameter. A value outside it means nothing: a
 # run hangs (a period <= 0 never advances the clock), crashes, or misreads it.
 _PARAMETER_RULES = {
-    "budget": _NONNEGATIVE,
-    "epoch_period_s": _POSITIVE,
+    "budget": NONNEGATIVE,
+    "epoch_period_s": POSITIVE,
     "epoch_jitter": (lambda x: 0 <= x < 1, "in [0, 1)"),  # keeps every period > 0
-    "t_m_s": _NONNEGATIVE,
-    "msg_air_s": _POSITIVE,
-    "chirp_mean_interval_s": _POSITIVE,
-    "los_sigma_m": _NONNEGATIVE,
-    "erc_noise_sigma": _NONNEGATIVE,
+    "t_m_s": NONNEGATIVE,
+    "msg_air_s": POSITIVE,
+    "chirp_mean_interval_s": POSITIVE,
+    "los_sigma_m": NONNEGATIVE,
+    "erc_noise_sigma": NONNEGATIVE,
     "clock_drift_ppm": (lambda x: 0 <= x <= MAX_CLOCK_DRIFT_PPM,
                         f"in [0, {MAX_CLOCK_DRIFT_PPM:g}]"),
-    "clock_offset_max_s": _NONNEGATIVE,
-    "metrics_burn_in_s": _NONNEGATIVE,
+    "clock_offset_max_s": NONNEGATIVE,
+    "metrics_burn_in_s": NONNEGATIVE,
 }
 
 
@@ -65,21 +64,6 @@ def _list(v, where: str):
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"{where} must be a list, got {v!r}")
     return v
-
-
-def _number(v, where: str, rule=None, integer: bool = False):
-    """A finite real number as a float (an int if `integer`) that satisfies
-    `rule`; anything else, booleans and strings included, is a ConfigError
-    naming `where`."""
-    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-            or (not isinstance(v, numbers.Integral) and not math.isfinite(v))):
-        raise ConfigError(f"{where} must be a finite number, got {v!r}")
-    if integer and v != int(v):
-        raise ConfigError(f"{where} must be an integer, got {v!r}")
-    out = int(v) if integer else float(v)
-    if rule is not None and not rule[0](out):
-        raise ConfigError(f"{where} must be {rule[1]}, got {v!r}")
-    return out
 
 
 def _optional(v, where: str, rule=None):
@@ -147,8 +131,8 @@ class Waypoint:
 
     def __post_init__(self):
         _set(self, position=_vec(self.position, 3, "position"),
-             arrival_s=_number(self.arrival_s, "arrival_s", _NONNEGATIVE),
-             dwell_s=_number(self.dwell_s, "dwell_s", _NONNEGATIVE))
+             arrival_s=_number(self.arrival_s, "arrival_s", NONNEGATIVE),
+             dwell_s=_number(self.dwell_s, "dwell_s", NONNEGATIVE))
 
 
 @dataclass(frozen=True)
@@ -175,8 +159,8 @@ class AgentSpec:
              trajectory=traj,
              belief_mean=(None if self.belief_mean is None
                           else _vec(self.belief_mean, 6, "belief_mean")),
-             pos_sigma=_optional(self.pos_sigma, "pos_sigma", _NONNEGATIVE),
-             vel_sigma=_optional(self.vel_sigma, "vel_sigma", _NONNEGATIVE),
+             pos_sigma=_optional(self.pos_sigma, "pos_sigma", NONNEGATIVE),
+             vel_sigma=_optional(self.vel_sigma, "vel_sigma", NONNEGATIVE),
              label=_string(self.label, "label", optional=True))
 
 
@@ -188,7 +172,7 @@ class LinkTruthConfig:
     nlos_cross_z: float | None = None  # links crossing this z plane are NLOS
 
     def __post_init__(self):
-        _set(self, comm_range_m=_number(self.comm_range_m, "comm_range_m", _NONNEGATIVE),
+        _set(self, comm_range_m=_number(self.comm_range_m, "comm_range_m", NONNEGATIVE),
              nlos_pairs=_pairs(self.nlos_pairs, "nlos_pairs"),
              blocked_pairs=_pairs(self.blocked_pairs, "blocked_pairs"),
              nlos_cross_z=_optional(self.nlos_cross_z, "nlos_cross_z"))
@@ -257,8 +241,8 @@ class ScenarioConfig:
         anchors = _instances(self.anchors, AnchorSpec, "anchors")
         agents = _instances(self.agents, AgentSpec, "agents")
         _set(self, name=_string(self.name, "name"),
-             duration_s=_number(self.duration_s, "duration_s", _NONNEGATIVE),
-             seed=_number(self.seed, "seed", _NONNEGATIVE, integer=True),
+             duration_s=_number(self.duration_s, "duration_s", NONNEGATIVE),
+             seed=_number(self.seed, "seed", NONNEGATIVE, integer=True),
              anchors=anchors, agents=agents,
              link_truth=_instance(self.link_truth, LinkTruthConfig, "link_truth"),
              algorithms=_instance(self.algorithms, Algorithms, "algorithms"),

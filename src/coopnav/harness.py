@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import ACRONYMS, ScenarioConfig
 from .errors import InvalidArgumentError, NoRecordsError
+from .model import finite_number
 from .simkernel import RunResult, run
 
 
@@ -55,8 +56,7 @@ def outage_threshold(errors, p_out: float) -> float:
     errors = np.sort(np.asarray(errors, dtype=float))
     if errors.size == 0:
         raise InvalidArgumentError("outage threshold requires at least one sample")
-    if not 0.0 <= p_out <= 1.0:
-        raise InvalidArgumentError("outage probability must be in [0, 1]")
+    p_out = finite_number(p_out, "outage probability", (lambda p: 0 <= p <= 1, "in [0, 1]"))
     # Outage of candidate errors[i] is (n - 1 - i) / n; pick the first index
     # where that is <= p_out.
     n = errors.size
@@ -141,8 +141,8 @@ def replicate(scenario: ScenarioConfig, seeds, node_id: int | None = None,
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgumentError("replicate requires at least one seed")
-    if workers is not None and workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        workers = finite_number(workers, "workers", (lambda n: n >= 1, ">= 1"), integer=True)
     burn = scenario.parameters.metrics_burn_in_s
     if workers is not None and workers > 1 and len(seeds) > 1:
         import multiprocessing

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EstimationFailureError, InvalidArgumentError, NumericFailureError
-from .model import GaussianBelief, finite_array, frozen, symmetrize
+from .model import POSITIVE, GaussianBelief, finite_array, finite_number, frozen, symmetrize
 
 
 # Scaled unscented transform: alpha = 1, beta = 2 and kappa = 3 - L, so the
@@ -43,8 +43,8 @@ class MeasurementEntry:
     c_p: np.ndarray  # (3, 3)
 
     def __post_init__(self):
-        if not (math.isfinite(self.z) and 0 < self.variance < math.inf):
-            raise InvalidArgumentError("range must be finite, its variance finite and > 0")
+        object.__setattr__(self, "z", finite_number(self.z, "range"))
+        object.__setattr__(self, "variance", finite_number(self.variance, "variance", POSITIVE))
         object.__setattr__(self, "mu_p", finite_array(self.mu_p, (3,), "neighbor mean"))
         object.__setattr__(self, "c_p", finite_array(self.c_p, (3, 3), "neighbor covariance"))
 
@@ -55,6 +55,8 @@ class MeasurementBatch:
 
     def __post_init__(self):
         entries = tuple(self.entries)
+        if not all(isinstance(e, MeasurementEntry) for e in entries):
+            raise InvalidArgumentError("batch entries must be MeasurementEntry")
         neighbors = [e.neighbor for e in entries]
         if len(set(neighbors)) != len(neighbors):
             raise InvalidArgumentError("batch neighbors must be distinct")

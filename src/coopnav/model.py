@@ -8,6 +8,7 @@ beliefs with exactly-zero covariance rather than a separate type.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,20 +29,40 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def finite_array(x, shape: tuple | None, what: str) -> np.ndarray:
-    """A new read-only float copy of x, of the given shape (any 1-D shape for
-    None) and with finite entries; anything else, input numpy cannot convert
-    included, raises InvalidArgumentError naming `what`. math.isfinite over
-    the entries takes a third of the time of np.isfinite(a).all() on the
-    small arrays the value types take."""
+    """A new read-only float copy of x, of the given shape (any nonempty 1-D
+    shape for None) and with finite entries; anything else, input numpy
+    cannot convert included, raises InvalidArgumentError naming `what`.
+    math.isfinite over the entries takes a third of the time of
+    np.isfinite(a).all() on the small arrays the value types take."""
     try:
         a = np.array(x, dtype=float)
     except (TypeError, ValueError):
         a = None  # not convertible
-    if (a is None or (a.ndim != 1 if shape is None else a.shape != shape)
+    if (a is None or (a.ndim != 1 or not a.size if shape is None else a.shape != shape)
             or not all(map(math.isfinite, a.ravel().tolist()))):
-        want = "(n,)" if shape is None else shape
+        want = "(n,) with n >= 1" if shape is None else shape
         raise InvalidArgumentError(f"{what} must be finite floats of shape {want}")
     return frozen(a)
+
+
+# Rules on numbers: (predicate, what the number must be).
+NONNEGATIVE = (lambda x: x >= 0, ">= 0")
+POSITIVE = (lambda x: x > 0, "> 0")
+
+
+def finite_number(x, what: str, rule=None, integer: bool = False, error=InvalidArgumentError):
+    """x as a float (an int if `integer`) if it is a finite real number, not a
+    bool, integral if `integer` and satisfying `rule`; else raises `error` naming `what`."""
+    t = type(x)  # an exact int or float skips the slower numbers.Real check
+    if t is not int and (t is not float and (t is bool or not isinstance(x, numbers.Real))
+                         or not math.isfinite(x)):
+        raise error(f"{what} must be a finite number, got {x!r}")
+    out = int(x) if integer else float(x)
+    if integer and out != x:
+        raise error(f"{what} must be an integer, got {x!r}")
+    if rule is not None and not rule[0](out):
+        raise error(f"{what} must be {rule[1]}, got {x!r}")
+    return out
 
 
 def symmetrize(c: np.ndarray) -> np.ndarray:
@@ -89,7 +110,7 @@ class GaussianBelief:
 
 def anchor_belief(position) -> GaussianBelief:
     """Belief of a perfectly known static node: zero velocity, zero covariance."""
-    p = np.asarray(position, dtype=float)
+    p = finite_array(position, (3,), "anchor position")
     mean = np.concatenate([p, np.zeros(3)])
     return GaussianBelief(mean, np.zeros((STATE_DIM, STATE_DIM)))
 
@@ -106,9 +127,8 @@ class MotionModel:
     sigma_z2: float
 
     def __post_init__(self):
-        for v in (self.sigma_x2, self.sigma_y2, self.sigma_z2):
-            if not 0 <= v < math.inf:
-                raise InvalidArgumentError("driving-noise variances must be finite and >= 0")
+        for name in ("sigma_x2", "sigma_y2", "sigma_z2"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name, NONNEGATIVE))
 
 
 # Distinct (model, dt) pairs whose motion matrices are kept. An agent's epoch
@@ -116,16 +136,16 @@ class MotionModel:
 MOTION_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=MOTION_CACHE_SIZE)
+@lru_cache(maxsize=MOTION_CACHE_SIZE, typed=True)
 def motion_matrices(model: MotionModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix A(dt) and driving-noise covariance Cw(dt).
 
     A = [[I, dt I], [0, I]]; Cw = sym(B(dt) Cu B(dt)^T) with B = [[dt^2/2 I], [dt I]].
     The result is memoised per (model, dt) and shared, so both arrays are
-    read-only; `motion_matrices.__wrapped__` computes them afresh.
+    read-only; `motion_matrices.__wrapped__` computes them afresh. The cache
+    is typed, so a bool dt is checked, not served the entry of dt 1.
     """
-    if not 0 <= dt < math.inf:
-        raise InvalidArgumentError(f"dt must be finite and >= 0, got {dt}")
+    dt = finite_number(dt, "dt", NONNEGATIVE)
     a = np.eye(STATE_DIM) + dt * np.eye(STATE_DIM, k=3)
     i3 = np.eye(3)
     b = np.vstack([0.5 * dt * dt * i3, dt * i3])
@@ -143,11 +163,8 @@ def predict_belief(belief: GaussianBelief, model: MotionModel, dt: float) -> Gau
 
 def measurement_variance(m: int, xi: float) -> float:
     """Variance of the averaged range measurement: (m * xi)^-1."""
-    if m < 1:
-        raise InvalidArgumentError(f"measurement count must be >= 1, got {m}")
-    if not 0 < xi < math.inf:
-        raise InvalidArgumentError(f"ranging coefficient must be finite and > 0, got {xi}")
-    return 1.0 / (m * xi)
+    m = finite_number(m, "measurement count", POSITIVE, integer=True)
+    return 1.0 / (m * finite_number(xi, "ranging coefficient", POSITIVE))
 
 
 # Default channel-quality bounds for the equivalent ranging coefficient [1/m^2].

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidArgumentError, NumericFailureError
-from .model import MotionModel, finite_array, frozen, motion_matrices, symmetrize
+from .model import (NONNEGATIVE, MotionModel, finite_array, finite_number, frozen,
+                    motion_matrices, symmetrize)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -50,8 +51,7 @@ class LinkInfo:
         u = finite_array(self.u, (3,), "direction vector")
         if not abs(_norm(u) - 1.0) <= 1e-9:
             raise InvalidArgumentError("direction vector must be a unit 3-vector")
-        if not 0 <= self.xi < math.inf:
-            raise InvalidArgumentError("ranging coefficient must be finite and >= 0")
+        object.__setattr__(self, "xi", finite_number(self.xi, "ranging coefficient", NONNEGATIVE))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c_pk", finite_array(self.c_pk, (3, 3), "neighbor covariance"))
 
@@ -76,16 +76,17 @@ class AllocationProblem:
 
     def __post_init__(self):
         c = finite_array(self.c_pj, (3, 3), "own position covariance")
-        b = self.budget
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 0:
-            raise InvalidArgumentError("budget must be an integer >= 0")
+        budget = finite_number(self.budget, "budget", NONNEGATIVE, integer=True)
         links = tuple(self.links)
+        if not all(isinstance(l, LinkInfo) for l in links):
+            raise InvalidArgumentError("links must be LinkInfo")
         ids = [l.neighbor for l in links]
         if len(set(ids)) != len(ids):
             raise InvalidArgumentError("links must address distinct neighbors")
         # Read-only, so the cached prior information below stays valid.
         object.__setattr__(self, "c_pj", frozen(symmetrize(c)))
         object.__setattr__(self, "links", links)
+        object.__setattr__(self, "budget", budget)
         # Read-only per-link constants in link order, for every allocation
         # objective. rho = xi u^T C_pk u is the directional neighbor uncertainty
         # scaled by channel quality; exactly 0 for an anchor (C_pk = 0), where

@@ -29,11 +29,10 @@ time (I's t1, R's t3) from the last message its session sent.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, RangingError
-from .model import ERC_MAX, ERC_MIN, GaussianBelief
+from .model import ERC_MAX, ERC_MIN, POSITIVE, GaussianBelief, finite_number
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -199,6 +198,7 @@ def erc_estimate(nlos: bool, gain: float = 1.0) -> float:
 # --- clocks ------------------------------------------------------------------
 
 MAX_CLOCK_DRIFT_PPM = 100.0
+_DRIFT = (lambda x: abs(x) <= MAX_CLOCK_DRIFT_PPM, f"within {MAX_CLOCK_DRIFT_PPM:g} ppm")
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,9 +209,8 @@ class ClockModel:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.offset) and abs(self.drift_ppm) <= MAX_CLOCK_DRIFT_PPM):
-            raise InvalidArgumentError(
-                f"clock offset must be finite, its drift within {MAX_CLOCK_DRIFT_PPM:g} ppm")
+        object.__setattr__(self, "offset", finite_number(self.offset, "offset"))
+        object.__setattr__(self, "drift_ppm", finite_number(self.drift_ppm, "drift_ppm", _DRIFT))
 
     def ticks(self, t: float) -> float:
         return (t * (1.0 + self.drift_ppm * 1e-6) + self.offset) / DEFAULT_TICK_S
@@ -222,8 +221,7 @@ class ClockModel:
 
 def chirp_scheduler(rng, mean_interval: float) -> float:
     """Next inter-chirp wait: exponential with the given mean (Poisson process)."""
-    if mean_interval <= 0:
-        raise InvalidArgumentError("mean chirp interval must be > 0")
+    mean_interval = finite_number(mean_interval, "mean chirp interval", POSITIVE)
     return float(rng.exponential(mean_interval))
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -154,6 +155,12 @@ class TestUnusableArguments:
     def test_replicate_rejects_unusable_workers(self, tmp_path, workers):
         scenario = load_scenario(_short_scenario(tmp_path))
         with pytest.raises(InvalidArgumentError, match="workers must be >= 1"):
+            replicate(scenario, [0, 1], workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, math.nan, math.inf, -math.inf, "abc", True])
+    def test_replicate_rejects_non_integer_workers(self, tmp_path, workers):
+        scenario = load_scenario(_short_scenario(tmp_path))
+        with pytest.raises(InvalidArgumentError, match="^workers must be (a finite|an int)"):
             replicate(scenario, [0, 1], workers=workers)
 
     @pytest.mark.parametrize("over", [

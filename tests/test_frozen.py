@@ -7,10 +7,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coopnav"
 
 
-def setflags_calls(source: str) -> list:
-    """(line, scope) of every `.setflags(` call in the module, its scope the
-    dotted names of the classes and functions that hold it ('' at module
-    level)."""
+def scoped(source: str, match) -> list:
+    """(line, scope) of every node of the module that `match` accepts, its
+    scope the dotted names of the classes and functions that hold it ('' at
+    module level)."""
     found = []
 
     def visit(node, scope):
@@ -18,13 +18,18 @@ def setflags_calls(source: str) -> list:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "setflags"):
+            elif match(child):
                 found.append((child.lineno, scope))
             visit(child, inner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def setflags_calls(source: str) -> list:
+    """(line, scope) of every `.setflags(` call in the module."""
+    return scoped(source, lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags")
 
 
 def test_finds_setflags_calls():

@@ -95,8 +95,9 @@ class TestMetrics:
         errors = [0.5, 0.1, 0.9]
         assert outage_threshold(errors, 0.0) == pytest.approx(0.9)
         assert outage_threshold(errors, 1.0) == pytest.approx(0.1)
-        with pytest.raises(InvalidArgumentError):
-            outage_threshold(errors, 1.5)
+        for bad in (1.5, -0.1, np.nan, np.inf, -np.inf, "abc", True):
+            with pytest.raises(InvalidArgumentError):
+                outage_threshold(errors, bad)
 
     def test_measurement_rate(self):
         res = make_result([0.1, 0.1], duration=10.0, n_meas=5)

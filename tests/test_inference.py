@@ -202,6 +202,8 @@ class TestMeasurementEntry:
         {"variance": math.inf},
         {"variance": 0.0},
         {"variance": -0.01},
+        {"variance": -math.inf},
+        *({k: v} for k in ("z", "variance") for v in ("abc", True)),
         {"mu_p": np.array([3.0, math.nan, 0.0])},
         {"mu_p": np.array([3.0, 0.0, math.inf])},
         {"c_p": np.diag([0.1, math.nan, 0.1])},
@@ -350,6 +352,16 @@ class TestSpbpUpdate:
     def test_nan_range_rejected(self):
         with pytest.raises(InvalidArgumentError, match="finite"):
             MeasurementEntry(1, math.nan, 0.01, np.array([3.0, 0.0, 0.0]), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", ["abc", None, (1, 5.0, 0.01, np.zeros(3), np.zeros((3, 3)))],
+                             ids=["string", "none", "fields"])
+    def test_non_entry_rejected(self, bad):
+        # Alone or beside a valid entry; the empty batch stays valid.
+        e = MeasurementEntry(2, 5.0, 0.01, np.zeros(3), np.zeros((3, 3)))
+        for entries in ((bad,), (e, bad)):
+            with pytest.raises(InvalidArgumentError, match="MeasurementEntry"):
+                MeasurementBatch(entries)
+        assert len(MeasurementBatch(())) == 0
 
     def test_duplicate_neighbors_rejected(self):
         e = MeasurementEntry(1, 5.0, 0.01, np.zeros(3), np.zeros((3, 3)))

@@ -92,6 +92,10 @@ class TestGaussianBelief:
         with pytest.raises(InvalidArgumentError, match="belief covariance"):
             GaussianBelief(np.zeros(STATE_DIM), bad)
 
+    def test_empty_mean_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="belief mean"):
+            GaussianBelief(np.zeros(0), np.zeros((0, 0)))
+
     def test_psd_check(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
         b = GaussianBelief(np.zeros(STATE_DIM), cov)
@@ -103,6 +107,12 @@ class TestGaussianBelief:
         assert np.allclose(b.mean[:3], [1.0, 2.0, 3.0])
         assert np.allclose(b.mean[3:], 0.0)
         assert np.allclose(b.covariance, 0.0)
+
+    @pytest.mark.parametrize("bad", ["abc", {"x": 1.0}, [1.0, 2.0], [0.0, np.nan, 0.0]],
+                             ids=["string", "dict", "two-vector", "nan"])
+    def test_anchor_belief_rejects_bad_position(self, bad):
+        with pytest.raises(InvalidArgumentError, match="anchor position"):
+            anchor_belief(bad)
 
 
 class TestMotion:
@@ -126,13 +136,17 @@ class TestMotion:
         assert np.allclose(cw, 0.0)
 
     def test_negative_dt_rejected(self):
-        # So are a dt and driving-noise variances that are NaN or infinite.
-        for dt in (-0.1, np.nan, np.inf):
+        # So are a dt and driving-noise variances that are not finite numbers,
+        # a True dt also once the matrices of dt 1 are cached.
+        motion_matrices(DEFAULT_MOTION, 1.0)
+        for dt in (-0.1, np.nan, np.inf, -np.inf, "abc", True):
             with pytest.raises(InvalidArgumentError):
                 motion_matrices(DEFAULT_MOTION, dt)
-        for sig in (-1.0, np.nan, np.inf):
+        for sig in (-1.0, np.nan, np.inf, -np.inf, "abc", True):
             with pytest.raises(InvalidArgumentError):
                 MotionModel(sig, 0.0, 0.0)
+            with pytest.raises(InvalidArgumentError):
+                MotionModel(0.0, 0.0, sig)
 
     @given(st.floats(0.0, 5.0, allow_nan=False),
            st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=3, max_size=3))
@@ -213,9 +227,10 @@ class TestMeasurement:
         assert measurement_variance(1, 16.0) == pytest.approx(1 / 16)
 
     def test_variance_rejects_bad_inputs(self):
-        with pytest.raises(InvalidArgumentError):
-            measurement_variance(0, 100.0)
-        for xi in (0.0, np.nan, np.inf):
+        for m in (0, 2.5, np.nan, np.inf, -np.inf, "abc", True):
+            with pytest.raises(InvalidArgumentError):
+                measurement_variance(m, 100.0)
+        for xi in (0.0, np.nan, np.inf, -np.inf, "abc", True):
             with pytest.raises(InvalidArgumentError):
                 measurement_variance(4, xi)
 

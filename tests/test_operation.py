@@ -154,11 +154,12 @@ class TestDirections:
             LinkInfo(0, np.array([1.0, 1.0, 0.0]), 50.0, np.zeros((3, 3)))
 
 
-def _allocate(u=(1.0, 0.0, 0.0), xi=50.0, c_pk=np.zeros((3, 3)), c_pj=np.eye(3), budget=4):
+def _allocate(u=(1.0, 0.0, 0.0), xi=50.0, c_pk=np.zeros((3, 3)), c_pj=np.eye(3), budget=4,
+              extra=()):
     """cpnp_allocate of a two-link problem, its first link built from these
-    inputs and its second an anchor along y."""
+    inputs and its second an anchor along y, followed by the `extra` links."""
     links = (LinkInfo(0, u, xi, c_pk),
-             LinkInfo(1, np.array([0.0, 1.0, 0.0]), 50.0, np.zeros((3, 3))))
+             LinkInfo(1, np.array([0.0, 1.0, 0.0]), 50.0, np.zeros((3, 3))), *extra)
     return cpnp_allocate(AllocationProblem(c_pj, links, budget))
 
 
@@ -182,6 +183,13 @@ class TestMalformedInputs:
         {"c_pj": np.ones(3)},
         {"budget": 2.5},
         {"budget": True},
+        {"xi": -INF},
+        *({"xi": v} for v in ("abc", True)),
+        *({"budget": v} for v in ("abc", NAN, INF, -INF)),
+        # A link that is not a LinkInfo, such as the tuple of its fields.
+        *(pytest.param({"extra": (link,)}, id=f"extra={name}") for name, link in (
+            ("string", "abc"), ("none", None),
+            ("fields", (2, np.array([0.0, 0.0, 1.0]), 50.0, np.zeros((3, 3)))))),
         *({k: "abc"} for k in ("u", "c_pk", "c_pj")),
         *(pytest.param({k: [[1.0, 0.0], [0.0]]}, id=f"{k}=ragged")
           for k in ("u", "c_pk", "c_pj")),

@@ -97,6 +97,13 @@ class TestClockModel:
         for offset, drift in ((0.0, 150.0), (0.0, math.nan), (math.inf, 0.0), (math.nan, 0.0)):
             with pytest.raises(InvalidArgumentError):
                 ClockModel(offset, drift)
+        # So is anything else that is not a finite number, and -150 ppm.
+        with pytest.raises(InvalidArgumentError):
+            ClockModel(0.0, -150.0)
+        for bad in (math.nan, math.inf, -math.inf, "abc", True):
+            for offset, drift in ((0.0, bad), (bad, 0.0)):
+                with pytest.raises(InvalidArgumentError):
+                    ClockModel(offset, drift)
 
 
 def run_exchange(distance_m=6.0, tamper=None):
@@ -316,8 +323,9 @@ class TestPolicies:
         assert min(waits) >= 0.0
 
     def test_chirp_scheduler_rejects_bad_interval(self):
-        with pytest.raises(InvalidArgumentError):
-            chirp_scheduler(np.random.default_rng(0), 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, "abc", True):
+            with pytest.raises(InvalidArgumentError):
+                chirp_scheduler(np.random.default_rng(0), bad)
 
     def test_aloha_delay_positive(self):
         rng = np.random.default_rng(3)
